@@ -27,7 +27,9 @@ The default derivatives are central differences with a model-owned step
 Vectorised models implement ``_forward_currents`` (elementwise currents
 on the ``vds >= 0`` quadrant); the base ``currents`` wraps it in the
 shared source/drain mirror transform, so the symmetry convention lives
-in exactly one place.  Models without it fall back to a scalar loop.
+in exactly one place.  Models without the hook fall back to a scalar
+loop.  Iterative models (the top-of-barrier CNT/GNR FETs) evaluate their
+scalar ``current`` as a batch of one through the same transform.
 A ballistic CNT-FET, an empirical non-saturating GNR model and a
 spline-compiled surrogate therefore stay interchangeable everywhere.
 """
@@ -83,9 +85,10 @@ def mirror_symmetric_currents(forward, vgs_values, vds_values) -> np.ndarray:
 
     Coerces and broadcasts the bias arrays, then hands ``forward`` only
     ``vds >= 0`` points.  This is the one shared implementation of the
-    symmetric-device transform the scalar ``current`` methods apply
-    recursively; every vectorised ``_forward_currents`` hook routes
-    through it so the symmetry convention cannot drift between models.
+    symmetric-device transform: every vectorised ``_forward_currents``
+    hook routes through it, so the symmetry convention cannot drift
+    between models.  Closed-form models keep a scalar ``current`` fast
+    path that applies the same exchange; the iterative ones do not.
     """
     vgs = np.asarray(vgs_values, dtype=float)
     vds = np.asarray(vds_values, dtype=float)

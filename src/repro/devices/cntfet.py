@@ -54,8 +54,8 @@ class CNTFET(FETModel):
         Number of conduction subbands retained.
     """
 
-    # Scalar evaluation is a self-consistent barrier solve: small FET
-    # groups should stay on the batched linearize path.
+    # Every evaluation is a barrier solve, as costly for one point as for
+    # a small slab: keep small FET groups on the batched linearize path.
     prefer_batched_points = True
 
     def __init__(
@@ -118,10 +118,7 @@ class CNTFET(FETModel):
 
     # -- device interface ------------------------------------------------------
     def current(self, vgs: float, vds: float) -> float:
-        if vds < 0.0:
-            # Symmetric source/drain: exchange terminals.
-            return -self.current(vgs - vds, -vds)
-        return self._solver.current(vgs, vds)
+        return float(self.currents(vgs, vds))
 
     def _forward_currents(self, vgs, vds) -> np.ndarray:
         """Batched I_D through the vectorised top-of-barrier solver."""

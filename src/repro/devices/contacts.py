@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
+import numpy as np
 
 from repro.devices.base import FETModel, OperatingBox
 from repro.physics.constants import CNT_QUANTUM_RESISTANCE_OHM
@@ -38,8 +38,8 @@ class SeriesResistanceFET(FETModel):
     subthreshold region where Newton overshoots).
     """
 
-    # Scalar evaluation is a bracketed root find around the inner
-    # device: keep small FET groups on the batched linearize path.
+    # Every evaluation is a bracketed root find with one batched inner
+    # call per step: keep small FET groups on the batched linearize path.
     prefer_batched_points = True
 
     def __init__(self, inner: FETModel, r_source_ohm: float, r_drain_ohm: float):
@@ -82,22 +82,50 @@ class SeriesResistanceFET(FETModel):
             # Terminal exchange also swaps which resistor plays "source".
             mirrored = SeriesResistanceFET(self.inner, self.r_drain_ohm, self.r_source_ohm)
             return -mirrored.current(vgs - vds, -vds)
-        if self.total_resistance_ohm == 0.0:
-            return self.inner.current(vgs, vds)
+        return float(self._forward_currents(np.array([vgs]), np.array([vds]))[0])
 
-        def residual(current: float) -> float:
-            internal_vgs = vgs - current * self.r_source_ohm
-            internal_vds = vds - current * self.total_resistance_ohm
-            return self.inner.current(internal_vgs, internal_vds) - current
+    def _forward_currents(self, vgs, vds) -> np.ndarray:
+        """Illinois regula falsi for I on [0, I_intrinsic], all points at once.
 
-        upper = self.inner.current(vgs, vds)
-        if upper <= 0.0:
-            return upper
-        # residual(0) = I_intrinsic >= 0 and residual(upper) <= 0 because
-        # degrading both internal biases can only lower the current.
-        if residual(upper) >= 0.0:
-            return upper
-        return float(brentq(residual, 0.0, upper, xtol=1e-18, rtol=1e-12))
+        The residual r(I) = inner(vgs - I R_s, vds - I (R_s + R_d)) - I
+        falls from r(0) = I_intrinsic >= 0 to r(I_intrinsic) <= 0,
+        because degrading both internal biases can only lower the
+        current.  Every step is one batched inner call over the points
+        still active; a point leaves once its bracket is narrower than
+        brentq's ``xtol + rtol |I|``.
+        """
+        shape = np.shape(vgs)
+        vgs, vds = np.ravel(vgs), np.ravel(vds)
+        out = np.array(self.inner.currents(vgs, vds), dtype=float)
+
+        def residual(current, index):
+            internal_vgs = vgs[index] - current * self.r_source_ohm
+            internal_vds = vds[index] - current * self.total_resistance_ohm
+            return self.inner.currents(internal_vgs, internal_vds) - current
+
+        # Off points (I_intrinsic <= 0) and points whose current the
+        # resistors do not lower (zero resistance) keep I_intrinsic.
+        active = np.flatnonzero(out > 0.0)
+        f_upper = residual(out[active], active)
+        active, f_b = active[f_upper < 0.0], f_upper[f_upper < 0.0]
+        # b is the newest iterate, a the bracket end kept from before.
+        a, f_a, b = np.zeros(active.size), out[active], out[active]
+        for _ in range(100):  # brentq's maxiter
+            if not active.size:
+                return out.reshape(shape)
+            trial = b - f_b * (b - a) / (f_b - f_a)
+            f_trial = residual(trial, active)
+            # Illinois: when the new point lands on b's side again, halve
+            # the kept end's residual so that end moves too.
+            crossed = np.sign(f_trial) != np.sign(f_b)
+            a = np.where(crossed, b, a)
+            f_a = np.where(crossed, f_b, 0.5 * f_a)
+            b, f_b = trial, f_trial
+            out[active] = trial
+            # brentq's stopping rule at xtol=1e-18, rtol=1e-12.
+            live = (f_b != 0.0) & (np.abs(b - a) >= 1e-18 + 1e-12 * np.abs(b))
+            active, a, f_a, b, f_b = (part[live] for part in (active, a, f_a, b, f_b))
+        raise RuntimeError("series-resistance solve did not converge in 100 steps")
 
 
 @dataclass(frozen=True)

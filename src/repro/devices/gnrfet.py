@@ -34,8 +34,8 @@ class GNRFET(FETModel):
     emulated by passing a shorter ``mfp_override_nm``).
     """
 
-    # Scalar evaluation is a self-consistent barrier solve: small FET
-    # groups should stay on the batched linearize path.
+    # Every evaluation is a barrier solve, as costly for one point as for
+    # a small slab: keep small FET groups on the batched linearize path.
     prefer_batched_points = True
 
     def __init__(
@@ -82,9 +82,7 @@ class GNRFET(FETModel):
         return cls(gnr_for_gap(gap_ev), **kwargs)
 
     def current(self, vgs: float, vds: float) -> float:
-        if vds < 0.0:
-            return -self.current(vgs - vds, -vds)
-        return self._solver.current(vgs, vds)
+        return float(self.currents(vgs, vds))
 
     def _forward_currents(self, vgs, vds) -> np.ndarray:
         """Batched I_D through the vectorised top-of-barrier solver."""

@@ -28,6 +28,7 @@ import numpy as np
 from repro.devices.base import FETModel
 from repro.devices.cntfet import CNTFET
 from repro.physics.constants import H, KB_EV, Q
+from repro.physics.fermi import fermi_occupation
 
 __all__ = ["SchottkyBarrierCNTFET"]
 
@@ -100,7 +101,7 @@ class SchottkyBarrierCNTFET(FETModel):
                 self.intrinsic.params.transmission
                 * self.contact_transmission(energies, band_edge_ev=edge_abs)
             )
-            window = _fermi((energies - mu_s) / kt) - _fermi((energies - mu_d) / kt)
+            window = fermi_occupation((energies - mu_s) / kt) - fermi_occupation((energies - mu_d) / kt)
             integral_ev = float(np.trapezoid(transmission * window, energies))
             total += band.degeneracy * Q * Q / H * integral_ev
         return total
@@ -120,7 +121,3 @@ class SchottkyBarrierCNTFET(FETModel):
         if intrinsic_current <= 0.0:
             return 1.0
         return self.current(vgs, vds) / intrinsic_current
-
-
-def _fermi(x):
-    return 1.0 / (1.0 + np.exp(np.clip(x, -500.0, 500.0)))

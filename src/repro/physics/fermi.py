@@ -18,10 +18,20 @@ from repro.physics.constants import KB_EV, ROOM_TEMPERATURE_K
 
 __all__ = [
     "fermi_dirac",
+    "fermi_occupation",
     "fermi_integral_f0",
     "fermi_integral_fm1",
     "occupation_window",
 ]
+
+
+def fermi_occupation(eta):
+    """Occupation 1 / (1 + exp(eta)) at the reduced energy eta = (E - mu)/kT.
+
+    eta is clipped to +/-500, beyond which the occupation is exactly 0
+    or 1 in double precision, so exp never overflows.
+    """
+    return 1.0 / (1.0 + np.exp(np.clip(eta, -500.0, 500.0)))
 
 
 def fermi_dirac(energy_ev, mu_ev, temperature_k: float = ROOM_TEMPERATURE_K):
@@ -38,11 +48,7 @@ def fermi_dirac(energy_ev, mu_ev, temperature_k: float = ROOM_TEMPERATURE_K):
     """
     if temperature_k <= 0.0:
         raise ValueError(f"temperature must be positive, got {temperature_k}")
-    eta = (np.asarray(energy_ev, dtype=float) - mu_ev) / (KB_EV * temperature_k)
-    # exp overflow guard: for eta > ~500 the occupation is exactly 0/1 in
-    # double precision, so clip before exponentiating.
-    eta = np.clip(eta, -500.0, 500.0)
-    return 1.0 / (1.0 + np.exp(eta))
+    return fermi_occupation((np.asarray(energy_ev, dtype=float) - mu_ev) / (KB_EV * temperature_k))
 
 
 def fermi_integral_f0(eta):

@@ -38,6 +38,7 @@ import numpy as np
 
 from repro.physics.bands import BandStructure1D
 from repro.physics.constants import KB_EV, Q, ROOM_TEMPERATURE_K
+from repro.physics.fermi import fermi_occupation
 from repro.transport.landauer import subband_ballistic_current
 
 __all__ = ["BallisticParameters", "OperatingPoint", "TopOfBarrierSolver"]
@@ -110,8 +111,10 @@ class OperatingPoint:
 class TopOfBarrierSolver:
     """Self-consistent ballistic FET solver for a 1D band structure.
 
-    The solver is stateless across bias points except for cached k-space
-    grids; it is safe to reuse one instance for full I-V surfaces.
+    One damped barrier Newton, vectorised over slabs of bias points,
+    serves every entry: :meth:`solve` and :meth:`current` run it on a
+    slab of one point.  The solver holds no state across bias points;
+    it is safe to reuse one instance for full I-V surfaces.
     """
 
     def __init__(self, bands: BandStructure1D, params: BallisticParameters):
@@ -124,39 +127,21 @@ class TopOfBarrierSolver:
             band.edge_ev - first_edge - params.ef_offset_ev for band in bands.subbands
         ]
         self._kt = KB_EV * params.temperature_k
-        self._n0 = self._density_per_m(barrier_ev=0.0, mu_s=0.0, mu_d=0.0)
+        self._n0 = float(self._density(np.zeros(1), np.zeros(1))[0][0])
 
     # -- public API --------------------------------------------------------
     def solve(self, vgs: float, vds: float) -> OperatingPoint:
         """Solve the barrier self-consistency at (V_GS, V_DS) and report I_D."""
-        params = self.params
-        mu_s, mu_d = 0.0, -vds
-        u_laplace = -(params.alpha_g * vgs + params.alpha_d * vds)
-        charging_ev_m = Q / params.c_ins_f_per_m  # [eV per (1/m) of density]
-
-        barrier = u_laplace  # initial guess: no charging feedback
-        iterations = 0
-        for iterations in range(1, _MAX_NEWTON_ITERATIONS + 1):
-            density = self._density_per_m(barrier, mu_s, mu_d)
-            residual = barrier - u_laplace - charging_ev_m * (density - self._n0)
-            if abs(residual) < 1e-9:
-                break
-            ddensity = self._density_derivative(barrier, mu_s, mu_d)
-            slope = 1.0 - charging_ev_m * ddensity  # ddensity < 0 -> slope > 1
-            step = -residual / slope
-            # Damp large steps: the charge integral is exponential in U.
-            max_step = 10.0 * self._kt
-            step = max(-max_step, min(max_step, step))
-            barrier += step
-        density = self._density_per_m(barrier, mu_s, mu_d)
-        current = self._current_a(barrier, mu_s, mu_d)
+        current, barrier, density, iterations = self._solve_chunk(
+            np.array([vgs], dtype=float), np.array([vds], dtype=float)
+        )
         return OperatingPoint(
             vgs=vgs,
             vds=vds,
-            barrier_ev=barrier,
-            charge_per_m=density,
-            current_a=current,
-            iterations=iterations,
+            barrier_ev=float(barrier[0]),
+            charge_per_m=float(density[0]),
+            current_a=float(current[0]),
+            iterations=int(iterations[0]),
         )
 
     def current(self, vgs: float, vds: float) -> float:
@@ -166,14 +151,12 @@ class TopOfBarrierSolver:
     def currents(self, vgs_values, vds_values) -> np.ndarray:
         """Batched elementwise drain currents [A] (arrays must broadcast).
 
-        Runs the same damped barrier Newton as :meth:`solve` on whole
-        slabs of bias points at once: every k-space integral covers all
-        still-unconverged points of a slab, and points drop out of the
-        active set as their residual passes the scalar tolerance.  The
-        per-point iterates match :meth:`solve` to rounding error, at a
-        fraction of its per-point dispatch cost — this is the entry the
-        vectorised device models (and through them the compiled circuit
-        assembly and curve tabulation) call.
+        Runs the damped barrier Newton on whole slabs of bias points at
+        once: every k-space integral covers all still-unconverged points
+        of a slab, and points drop out of the active set as their
+        residual passes the tolerance.  This is the entry the device
+        models (and through them the compiled circuit assembly and curve
+        tabulation) call.
         """
         currents, _ = self.solve_currents(vgs_values, vds_values)
         return currents
@@ -185,25 +168,21 @@ class TopOfBarrierSolver:
         sweep smoothly varying bias families (the surrogate table fill)
         can feed one solve's barriers back as ``barrier_guess`` for the
         next, cutting the iteration count roughly in half.  With no
-        guess the iterates are identical to :meth:`solve`.
+        guess every point starts from its Laplace barrier.
         """
-        vgs = np.asarray(vgs_values, dtype=float)
-        vds = np.asarray(vds_values, dtype=float)
-        if vgs.shape != vds.shape:
-            vgs, vds = np.broadcast_arrays(vgs, vds)
-        flat_vgs = np.ascontiguousarray(vgs.ravel())
-        flat_vds = np.ascontiguousarray(vds.ravel())
+        vgs, vds = np.broadcast_arrays(
+            np.asarray(vgs_values, dtype=float), np.asarray(vds_values, dtype=float)
+        )
+        flat_vgs, flat_vds = vgs.ravel(), vds.ravel()
         flat_guess = None
         if barrier_guess is not None:
-            flat_guess = np.ascontiguousarray(
-                np.broadcast_to(np.asarray(barrier_guess, dtype=float), vgs.shape).ravel()
-            )
+            flat_guess = np.broadcast_to(np.asarray(barrier_guess, dtype=float), vgs.shape).ravel()
         out = np.empty(flat_vgs.size)
         barriers = np.empty(flat_vgs.size)
         for start in range(0, flat_vgs.size, _BATCH_CHUNK):
             chunk = slice(start, start + _BATCH_CHUNK)
             guess = None if flat_guess is None else flat_guess[chunk]
-            out[chunk], barriers[chunk] = self._solve_chunk(
+            out[chunk], barriers[chunk], _, _ = self._solve_chunk(
                 flat_vgs[chunk], flat_vds[chunk], guess
             )
         return out.reshape(vgs.shape), barriers.reshape(vgs.shape)
@@ -238,128 +217,76 @@ class TopOfBarrierSolver:
         """A copy of this solver with a different channel transmission."""
         return TopOfBarrierSolver(self.bands, replace(self.params, transmission=transmission))
 
-    # -- internals ----------------------------------------------------------
-    def _k_grid(self, band, edge_abs_ev: float, mu_max: float):
-        """k grid covering occupations up to ~30 kT above the higher Fermi level."""
-        e_top_rel = max(mu_max - edge_abs_ev, 0.0) + 30.0 * self._kt
-        k_max = float(band.wavevector_per_m(band.edge_ev + e_top_rel))
-        return np.linspace(0.0, k_max, _K_SAMPLES)
-
-    def _density_per_m(self, barrier_ev: float, mu_s: float, mu_d: float) -> float:
-        total = 0.0
-        mu_max = max(mu_s, mu_d)
-        for band, edge in zip(self.bands.subbands, self._edges_ev):
-            edge_abs = edge + barrier_ev
-            k = self._k_grid(band, edge_abs, mu_max)
-            energy_abs = edge_abs + (band.energy_ev(k) - band.edge_ev)
-            occ_s = _fermi((energy_abs - mu_s) / self._kt)
-            occ_d = _fermi((energy_abs - mu_d) / self._kt)
-            total += band.degeneracy / (2.0 * math.pi) * float(
-                np.trapezoid(occ_s + occ_d, k)
-            )
-        return total
-
-    def _density_derivative(self, barrier_ev: float, mu_s: float, mu_d: float) -> float:
-        """dN/dU [1/(m eV)]; always negative (raising the barrier empties it)."""
-        total = 0.0
-        mu_max = max(mu_s, mu_d)
-        for band, edge in zip(self.bands.subbands, self._edges_ev):
-            edge_abs = edge + barrier_ev
-            k = self._k_grid(band, edge_abs, mu_max)
-            energy_abs = edge_abs + (band.energy_ev(k) - band.edge_ev)
-            for mu in (mu_s, mu_d):
-                x = np.clip((energy_abs - mu) / self._kt, -250.0, 250.0)
-                dfde = -1.0 / (4.0 * self._kt * np.cosh(x / 2.0) ** 2)
-                total += band.degeneracy / (2.0 * math.pi) * float(np.trapezoid(dfde, k))
-        return total
-
-    def _current_a(self, barrier_ev: float, mu_s: float, mu_d: float) -> float:
-        total = 0.0
-        for band, edge in zip(self.bands.subbands, self._edges_ev):
-            total += subband_ballistic_current(
-                edge_ev=edge + barrier_ev,
-                degeneracy=band.degeneracy,
-                mu_source_ev=mu_s,
-                mu_drain_ev=mu_d,
-                temperature_k=self.params.temperature_k,
-                transmission=self.params.transmission,
-            )
-        return total
-
-    # -- batched internals (one array axis = bias points) -----------------------
+    # -- internals (one array axis = bias points) ------------------------------
     def _solve_chunk(
         self, vgs: np.ndarray, vds: np.ndarray, barrier_guess: np.ndarray | None = None
     ):
-        """(currents, barriers) of one slab of bias points.
+        """(currents, barriers, densities, iterations) of one slab of bias points.
 
-        Mirrors :meth:`solve` exactly: same initial guess (unless a
-        warm-start ``barrier_guess`` is given), residual tolerance, step
-        damping and iteration cap — applied elementwise, with converged
-        points frozen out of the active set.
+        Damped Newton on the barrier residual, applied elementwise:
+        every point starts from its Laplace barrier (or the warm-start
+        ``barrier_guess``), steps are capped at 10 kT, and points whose
+        residual passes the tolerance are frozen out of the active set.
+        ``iterations`` counts the density evaluations each point took.
         """
         params = self.params
         mu_d = -vds
         u_laplace = -(params.alpha_g * vgs + params.alpha_d * vds)
-        charging_ev_m = Q / params.c_ins_f_per_m
+        charging_ev_m = Q / params.c_ins_f_per_m  # [eV per (1/m) of density]
+        # Damp large steps: the charge integral is exponential in U.
         max_step = 10.0 * self._kt
 
         barrier = u_laplace.copy() if barrier_guess is None else barrier_guess.copy()
+        density = np.empty(vgs.size)
+        iterations = np.zeros(vgs.size, dtype=int)
         active = np.arange(vgs.size)
-        for _ in range(_MAX_NEWTON_ITERATIONS):
-            density, cache = self._density_batch(barrier[active], mu_d[active])
+        for iteration in range(1, _MAX_NEWTON_ITERATIONS + 1):
+            density[active], ddensity = self._density(barrier[active], mu_d[active])
+            iterations[active] = iteration
             residual = (
                 barrier[active]
                 - u_laplace[active]
-                - charging_ev_m * (density - self._n0)
+                - charging_ev_m * (density[active] - self._n0)
             )
             keep = np.abs(residual) >= 1e-9
             if not keep.any():
                 break
             active = active[keep]
-            ddensity = self._density_derivative_batch(cache, keep, mu_d[active])
-            slope = 1.0 - charging_ev_m * ddensity
-            step = np.clip(-residual[keep] / slope, -max_step, max_step)
-            barrier[active] += step
-        return self._current_batch(barrier, mu_d), barrier
+            slope = 1.0 - charging_ev_m * ddensity[keep]  # ddensity < 0 -> slope > 1
+            barrier[active] += np.clip(-residual[keep] / slope, -max_step, max_step)
+        else:
+            # Iteration cap: report the charge at the barrier actually reached.
+            density[active] = self._density(barrier[active], mu_d[active])[0]
+        return self._current(barrier, mu_d), barrier, density, iterations
 
-    def _k_grid_batch(self, band, edge_abs_ev: np.ndarray, mu_max: np.ndarray):
-        e_top_rel = np.maximum(mu_max - edge_abs_ev, 0.0) + 30.0 * self._kt
-        k_max = band.wavevector_per_m(band.edge_ev + e_top_rel)
-        return np.linspace(0.0, k_max, _K_SAMPLES, axis=-1), k_max / (_K_SAMPLES - 1)
+    def _density(self, barrier_ev: np.ndarray, mu_d: np.ndarray):
+        """Carrier density N [1/m] and dN/dU [1/(m eV)] of a point slab.
 
-    def _density_batch(self, barrier_ev: np.ndarray, mu_d: np.ndarray):
-        """Carrier densities of a point slab plus the per-band (energies, dk)
-        cache the derivative pass reuses (the grids depend on the barrier
-        only, so rebuilding them for dN/dU would double the work)."""
-        total = np.zeros(barrier_ev.size)
-        mu_max = np.maximum(0.0, mu_d)
+        One pass over each subband's k grid: the derivative
+        dN/dU = -sum_j g_j/(2 pi) int f (1 - f) / kT dk reuses the
+        occupations the density is built from.  It is always negative:
+        raising the barrier empties it.
+        """
+        density, derivative = np.zeros((2, barrier_ev.size))
         kt = self._kt
-        cache = []
+        mu_max = np.maximum(0.0, mu_d)
         for band, edge in zip(self.bands.subbands, self._edges_ev):
             edge_abs = edge + barrier_ev
-            k, dk = self._k_grid_batch(band, edge_abs, mu_max)
+            # k grid covering occupations up to ~30 kT above the higher Fermi level.
+            e_top_rel = np.maximum(mu_max - edge_abs, 0.0) + 30.0 * kt
+            k_max = band.wavevector_per_m(band.edge_ev + e_top_rel)
+            k = np.linspace(0.0, k_max, _K_SAMPLES, axis=-1)
+            dk = k_max / (_K_SAMPLES - 1)
             energy_abs = edge_abs[:, None] + (band.energy_ev(k) - band.edge_ev)
-            occ = _fermi(energy_abs / kt) + _fermi((energy_abs - mu_d[:, None]) / kt)
-            total += band.degeneracy / (2.0 * math.pi) * _trapz_uniform(occ, dk)
-            cache.append((band.degeneracy, energy_abs, dk))
-        return total, cache
+            occ_s = fermi_occupation(energy_abs / kt)
+            occ_d = fermi_occupation((energy_abs - mu_d[:, None]) / kt)
+            weight = band.degeneracy / (2.0 * math.pi)
+            density += weight * _trapz_uniform(occ_s + occ_d, dk)
+            spread = occ_s * (1.0 - occ_s) + occ_d * (1.0 - occ_d)
+            derivative -= weight / kt * _trapz_uniform(spread, dk)
+        return density, derivative
 
-    def _density_derivative_batch(
-        self, cache: list, keep: np.ndarray, mu_d: np.ndarray
-    ) -> np.ndarray:
-        total = np.zeros(mu_d.size)
-        kt = self._kt
-        for degeneracy, energy_abs, dk in cache:
-            energy_kept = energy_abs[keep]
-            dk_kept = dk[keep]
-            for mu in (None, mu_d):
-                shifted = energy_kept if mu is None else energy_kept - mu[:, None]
-                x = np.clip(shifted / kt, -250.0, 250.0)
-                dfde = -1.0 / (4.0 * kt * np.cosh(x / 2.0) ** 2)
-                total += degeneracy / (2.0 * math.pi) * _trapz_uniform(dfde, dk_kept)
-        return total
-
-    def _current_batch(self, barrier_ev: np.ndarray, mu_d: np.ndarray) -> np.ndarray:
+    def _current(self, barrier_ev: np.ndarray, mu_d: np.ndarray) -> np.ndarray:
         total = np.zeros(barrier_ev.size)
         for band, edge in zip(self.bands.subbands, self._edges_ev):
             total += subband_ballistic_current(
@@ -371,10 +298,6 @@ class TopOfBarrierSolver:
                 transmission=self.params.transmission,
             )
         return total
-
-
-def _fermi(x):
-    return 1.0 / (1.0 + np.exp(np.clip(x, -500.0, 500.0)))
 
 
 def _trapz_uniform(y: np.ndarray, dk: np.ndarray) -> np.ndarray:
