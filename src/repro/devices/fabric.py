@@ -9,9 +9,11 @@ metallic tubes acting as gate-independent shunts.
 
 :class:`CNTFabricFET` composes per-tube device models (any
 :class:`FETModel`) plus an ohmic metallic shunt, and reports
-width-normalised drive current; :func:`sample_fabric` draws a fabric
-from a growth/sorting population so the material statistics of
-:mod:`repro.integration` flow directly into a circuit-usable device.
+width-normalised drive current; :func:`sample_fabric` draws a fabric of
+ballistic CNT-FETs, one shared instance per chirality, from a
+growth/sorting population so the material statistics of
+:mod:`repro.integration` flow directly into a device.  Circuit sweeps
+compile a fabric with :func:`repro.devices.surrogate.compile_surrogate`.
 """
 
 from __future__ import annotations
@@ -22,16 +24,15 @@ import numpy as np
 
 from repro.devices.base import FETModel
 from repro.devices.cntfet import CNTFET
-from repro.devices.empirical import TabulatedFET
 from repro.integration.growth import GrowthDistribution
 from repro.physics.constants import CNT_QUANTUM_RESISTANCE_OHM
 
 __all__ = ["CNTFabricFET", "sample_fabric"]
 
-# Tabulated per-chirality devices are deterministic for a given channel
-# length; cache them across sample_fabric calls so a parameter sweep over
-# many fabrics does not re-run hundreds of Newton solves per tube.
-_TABULATED_CACHE: dict[tuple[int, int, float], FETModel] = {}
+# Per-chirality devices are deterministic for a given channel length;
+# share them across sample_fabric calls so every fabric in a sweep reuses
+# one instance per chirality (and currents() groups tubes by instance).
+_DEVICE_CACHE: dict[tuple[int, int, float], CNTFET] = {}
 
 
 class CNTFabricFET(FETModel):
@@ -81,10 +82,7 @@ class CNTFabricFET(FETModel):
         return self.n_metallic / self.metallic_resistance_ohm
 
     def current(self, vgs: float, vds: float) -> float:
-        semiconducting = sum(
-            device.current(vgs, vds) for device in self.tube_devices
-        )
-        return semiconducting + self.metallic_conductance_s * vds
+        return float(self.currents(vgs, vds))
 
     # repro-lint: ok[PRT001] -- parallel composition: each tube model applies its own mirror transform, the metallic shunt term is linear in vds
     def currents(self, vgs_values, vds_values) -> np.ndarray:
@@ -123,8 +121,7 @@ class CNTFabricFET(FETModel):
 
     def on_off_ratio(self, vdd: float, v_off: float = 0.0) -> float:
         """I_on / I_off at supply ``vdd`` — collapses with metallic shunts."""
-        i_on = self.current(vdd, vdd)
-        i_off = self.current(v_off, vdd)
+        i_on, i_off = self.currents([vdd, v_off], vdd)
         if i_off <= 0.0:
             return np.inf
         return i_on / i_off
@@ -137,15 +134,14 @@ def sample_fabric(
     growth: GrowthDistribution | None = None,
     channel_length_nm: float = 20.0,
     rng: np.random.Generator | None = None,
-    tabulate: bool = True,
 ) -> CNTFabricFET:
     """Draw a fabric transistor from a material population.
 
     Chiralities are sampled from ``growth``; metallic draws (by the
-    post-sorting purity, not the raw 1/3) become shunts.  Distinct
-    semiconducting chiralities are built as ballistic CNT-FETs and —
-    by default — frozen into bilinear tables so a many-tube fabric stays
-    cheap to evaluate inside circuit sweeps.
+    post-sorting purity, not the raw 1/3) become shunts.  Each distinct
+    semiconducting chirality is one ballistic :class:`CNTFET`, shared
+    process-wide across calls, so a fabric costs one barrier solve per
+    distinct chirality and bias point however many tubes it holds.
     """
     if width_um <= 0.0:
         raise ValueError(f"width must be positive, got {width_um}")
@@ -162,8 +158,6 @@ def sample_fabric(
     n_metallic = int(rng.binomial(n_tubes, 1.0 - semiconducting_purity))
     n_semi = n_tubes - n_metallic
 
-    # Sample semiconducting chiralities; reuse one device per chirality
-    # (tabulated devices are shared process-wide via _TABULATED_CACHE).
     tube_devices: list[FETModel] = []
     semiconducting_pool = [c for c in growth.chiralities if c.is_semiconducting]
     weights = np.array(
@@ -174,14 +168,9 @@ def sample_fabric(
     for index in choices:
         chirality = semiconducting_pool[int(index)]
         key = (chirality.n, chirality.m, channel_length_nm)
-        if key not in _TABULATED_CACHE:
-            device: FETModel = CNTFET(chirality, channel_length_nm=channel_length_nm)
-            if tabulate:
-                vgs_grid = np.linspace(-0.2, 1.2, 29)
-                vds_grid = np.linspace(0.0, 1.2, 25)
-                device = TabulatedFET.from_model(device, vgs_grid, vds_grid)
-            _TABULATED_CACHE[key] = device
-        tube_devices.append(_TABULATED_CACHE[key])
+        if key not in _DEVICE_CACHE:
+            _DEVICE_CACHE[key] = CNTFET(chirality, channel_length_nm=channel_length_nm)
+        tube_devices.append(_DEVICE_CACHE[key])
     return CNTFabricFET(
         tube_devices=tube_devices, n_metallic=n_metallic, pitch_nm=pitch_nm
     )

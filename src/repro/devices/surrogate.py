@@ -76,8 +76,9 @@ __all__ = [
 #: /"none" disables disk caching entirely).
 CACHE_ENV = "REPRO_SURROGATE_CACHE"
 
-#: On-disk format version; bumping it invalidates every cached table.
-_CACHE_VERSION = 1
+#: On-disk format version; bumping it invalidates every cached table.  The
+#: key sees only model parameters: bump it when a kernel change moves values.
+_CACHE_VERSION = 2
 
 _CACHE_OFF_VALUES = frozenset({"", "0", "off", "none", "disabled"})
 

@@ -138,13 +138,11 @@ def junction_btbt_transmission(
     dx_m = (x_nm[1] - x_nm[0]) * 1e-9
 
     transmission = np.zeros_like(energy_ev)
-    for i, energy in enumerate(energy_ev):
-        if not lo < energy < hi:
-            continue
-        local = energy - midgap
-        kappa = imaginary_dispersion_per_m(local, profile.gap_ev, fermi_velocity)
-        action = float(np.sum(kappa) * dx_m)
-        transmission[i] = math.exp(-2.0 * action)
+    open_window = (lo < energy_ev) & (energy_ev < hi)
+    # One (n_open, n_points) kappa array: row i is energy i's decay along x.
+    local = energy_ev[open_window, None] - midgap
+    kappa = imaginary_dispersion_per_m(local, profile.gap_ev, fermi_velocity)
+    transmission[open_window] = np.exp(-2.0 * (kappa.sum(axis=1) * dx_m))
     if transmission.size == 1:
         return float(transmission[0])
     return transmission

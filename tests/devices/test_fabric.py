@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.devices.cntfet import CNTFET
 from repro.devices.empirical import AlphaPowerFET
 from repro.devices.fabric import CNTFabricFET, sample_fabric
 
@@ -98,6 +99,21 @@ class TestSampling:
         )
         density = fabric.current_density_a_per_m(0.6, 0.5)
         assert density > 1e3  # > 1 mA/um
+
+    def test_one_shared_device_per_chirality(self):
+        fabrics = [
+            sample_fabric(width_um=0.2, rng=np.random.default_rng(seed))
+            for seed in (4, 5)
+        ]
+        by_chirality: dict[tuple[int, int], set[int]] = {}
+        for fabric in fabrics:
+            for device in fabric.tube_devices:
+                assert isinstance(device, CNTFET)
+                key = (device.chirality.n, device.chirality.m)
+                by_chirality.setdefault(key, set()).add(id(device))
+        assert all(len(ids) == 1 for ids in by_chirality.values())
+        # Tubes repeat chiralities, so sharing actually happens.
+        assert sum(len(f.tube_devices) for f in fabrics) > len(by_chirality)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -68,6 +68,25 @@ def test_fast_model_currents_match_scalar(name):
     np.testing.assert_allclose(batch, scalar, rtol=1e-12, atol=1e-30)
 
 
+def test_fabric_currents_match_per_tube_sum(reference_cntfet):
+    # Fabric current() is currents() on one point, so the parametrized
+    # batch-vs-scalar check above cannot see a grouping bug; sum the
+    # tubes one by one instead, repeated instances included.
+    tabulated = _tabulated()
+    tubes = [tabulated] * 3 + [AlphaPowerFET()] + [reference_cntfet] * 2
+    fabric = CNTFabricFET(tubes, n_metallic=2)
+    vgs, vds = _bias_grid(20)
+    batch = fabric.currents(vgs, vds)
+    per_tube = np.array(
+        [
+            sum(tube.current(float(g), float(d)) for tube in tubes)
+            + fabric.metallic_conductance_s * float(d)
+            for g, d in zip(vgs, vds)
+        ]
+    )
+    np.testing.assert_allclose(batch, per_tube, rtol=1e-12, atol=1e-30)
+
+
 @pytest.mark.parametrize("name", SLOW_DEVICES)
 def test_physical_model_currents_match_scalar(name):
     device = SLOW_DEVICES[name]()

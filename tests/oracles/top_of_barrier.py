@@ -29,11 +29,16 @@ def _fermi(x):
 
 
 class ScalarTopOfBarrier:
-    """One-point-at-a-time top-of-barrier solve on ``bands`` with ``params``."""
+    """One-point-at-a-time top-of-barrier solve on ``bands`` with ``params``.
 
-    def __init__(self, bands, params):
+    ``k_samples`` sets the trapezoid grid of each charge integral; a
+    much finer grid than the kernel's makes this a quadrature reference.
+    """
+
+    def __init__(self, bands, params, k_samples: int = _K_SAMPLES):
         self.bands = bands
         self.params = params
+        self.k_samples = k_samples
         first_edge = bands.subbands[0].edge_ev
         self._edges_ev = [
             band.edge_ev - first_edge - params.ef_offset_ev for band in bands.subbands
@@ -81,7 +86,7 @@ class ScalarTopOfBarrier:
     def _k_grid(self, band, edge_abs_ev: float, mu_max: float):
         e_top_rel = max(mu_max - edge_abs_ev, 0.0) + 30.0 * self._kt
         k_max = float(band.wavevector_per_m(band.edge_ev + e_top_rel))
-        return np.linspace(0.0, k_max, _K_SAMPLES)
+        return np.linspace(0.0, k_max, self.k_samples)
 
     def _energies(self, band, edge: float, barrier_ev: float, mu_max: float):
         edge_abs = edge + barrier_ev

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.devices.cntfet import CNTFET
+from repro.devices.gnrfet import GNRFET
 from repro.physics.cnt import Chirality
 from repro.physics.electrostatics import gate_all_around_capacitance
 from repro.transport.ballistic import BallisticParameters, TopOfBarrierSolver
+
+from oracles.top_of_barrier import ScalarTopOfBarrier
 
 
 @pytest.fixture(scope="module")
@@ -115,3 +119,43 @@ class TestIVSurface:
         # increasing along both axes
         assert np.all(np.diff(surface, axis=0) > 0.0)
         assert np.all(np.diff(surface, axis=1) > 0.0)
+
+
+# -- quadrature guard ----------------------------------------------------------
+# The kernel's k grid is sized to the accuracy double precision allows,
+# not beyond it: a grid too coarse for some device or temperature shows
+# here as a drift from a 9600-sample trapezoid reference.
+_REFERENCE_K_SAMPLES = 9600
+_GUARD_BIASES = [
+    (-0.4, 0.05),
+    (0.0, 0.5),
+    (0.2, 0.0125),
+    (0.4, 0.3),
+    (0.6, 0.6),
+    (0.9, 1.0),
+    (1.2, 0.2),
+    (1.5, 1.4),
+]
+_GUARD_DEVICES = {
+    "reference_cnt": CNTFET.reference_device,
+    "gnr": lambda: GNRFET.for_bandgap(0.56),
+    "cnt_77k": lambda: CNTFET.for_bandgap(0.56, temperature_k=77.0),
+    # The narrowest and widest semiconducting tubes of the fabric
+    # experiment's sorted population (1.3-1.7 nm).
+    "fabric_tube_12_7": lambda: CNTFET(Chirality(12, 7)),
+    "fabric_tube_13_12": lambda: CNTFET(Chirality(13, 12)),
+}
+
+
+@pytest.mark.parametrize("name", _GUARD_DEVICES)
+def test_k_grid_matches_refined_quadrature(name):
+    device = _GUARD_DEVICES[name]()
+    kernel = TopOfBarrierSolver(device.bands, device.params)
+    reference = ScalarTopOfBarrier(
+        device.bands, device.params, k_samples=_REFERENCE_K_SAMPLES
+    )
+    for vgs, vds in _GUARD_BIASES:
+        op = kernel.solve(vgs, vds)
+        barrier, _, current, _ = reference.solve(vgs, vds)
+        assert op.barrier_ev == pytest.approx(barrier, rel=0.0, abs=1e-13)
+        assert op.current_a == pytest.approx(current, rel=1e-12, abs=0.0)

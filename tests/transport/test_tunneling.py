@@ -129,3 +129,16 @@ class TestJunctionTransmission:
         t = junction_btbt_transmission(profile, energies)
         assert t.shape == (7,)
         assert np.all((t >= 0.0) & (t <= 1.0))
+
+    def test_array_call_equals_per_energy_calls(self):
+        profile = JunctionProfile(gap_ev=0.56, delta_ev=-0.9, lambda_nm=3.0)
+        lo, hi = profile.tunnel_window_ev()
+        # Window edges and points outside it have no final states.
+        energies = np.concatenate(
+            [[lo - 0.1, lo], np.linspace(lo + 1e-4, hi - 1e-4, 9), [hi, hi + 0.1]]
+        )
+        batch = junction_btbt_transmission(profile, energies)
+        scalar = np.array([junction_btbt_transmission(profile, e) for e in energies])
+        np.testing.assert_array_equal(batch, scalar)
+        assert np.all(batch[[0, 1, -2, -1]] == 0.0)
+        assert np.all(batch[2:-2] > 0.0)
