@@ -248,3 +248,80 @@ def test_standalone_plan_compiles_small_circuits():
     res_d, jac_d = system.evaluate_dense(x, gmin=1e-9)
     np.testing.assert_allclose(res_p, res_d, atol=ATOL, rtol=0.0)
     np.testing.assert_allclose(jac_p, jac_d, atol=ATOL, rtol=0.0)
+
+
+def complementary_chain(n_stages):
+    """Complementary inverter chain with load capacitors and a current source."""
+    c = Circuit(f"chain-{n_stages}")
+    nfet = AlphaPowerFET()
+    c.add_voltage_source("VDD", "vdd", "0", DC(1.0))
+    c.add_voltage_source("VIN", "s0", "0", DC(0.3))
+    for i in range(n_stages):
+        c.add_fet(f"MP{i}", f"s{i+1}", f"s{i}", "vdd", PType(nfet))
+        c.add_fet(f"MN{i}", f"s{i+1}", f"s{i}", "0", nfet)
+        c.add_capacitor(f"C{i}", f"s{i+1}", "0", 2e-15)
+    c.add_current_source("IB", "vdd", f"s{n_stages}", DC(3e-6))
+    return c
+
+
+STACK_CONTEXTS = ("dc", "dc_gmin", "trapezoidal", "backward_euler_anchor")
+
+
+def _stack_context(name, plan, rng, xs):
+    """``(gmin, evaluate_many kwargs, _BatchContext)`` of one stack context."""
+    from repro.circuit.sweep import _BatchContext
+
+    m, size = xs.shape
+    if name == "dc":
+        return 0.0, {}, _BatchContext()
+    if name == "dc_gmin":
+        return 1e-6, dict(gmin=1e-6), _BatchContext()
+    timing = dict(time_s=1e-10, dt_s=1e-12)
+    if name == "trapezoidal":
+        previous_x = rng.normal(scale=0.5, size=size)
+        state = {cap: rng.normal() * 1e-7 for cap in plan.cap_names}
+        prevpad = np.zeros((m, size + 1))
+        prevpad[:] = np.append(previous_x, 0.0)
+        history = np.tile(plan.cap_state_array(state), (m, 1))
+        kwargs = dict(timing, integrator="trapezoidal", previous_x=previous_x, state=state)
+        ctx = _BatchContext(
+            integrator="trapezoidal", prevpad=prevpad, state_currents=history, **timing
+        )
+        return 0.0, kwargs, ctx
+    # Backward Euler anchored at each iterate (no previous solution).
+    prevpad = np.zeros((m, size + 1))
+    prevpad[:, :size] = xs
+    kwargs = dict(timing, integrator="backward-euler")
+    return 0.0, kwargs, _BatchContext(integrator="backward-euler", prevpad=prevpad, **timing)
+
+
+@pytest.mark.parametrize("context", STACK_CONTEXTS)
+@pytest.mark.parametrize("n_stages", [2, 20])
+def test_stack_entry_points_agree_bitwise(n_stages, context):
+    """The line-search stack and the batched engine's stack are one kernel."""
+    from repro.circuit.sweep import CircuitMonteCarlo, FETVariation
+
+    engine = CircuitMonteCarlo(complementary_chain(n_stages))
+    plan = engine.plan
+    rng = np.random.default_rng(n_stages)
+    xs = rng.normal(scale=0.5, size=(5, plan.size))
+    gmin, kwargs, ctx = _stack_context(context, plan, rng, xs)
+    res_many, jac_many = plan.evaluate_many(xs, **kwargs)
+    nominal = FETVariation.nominal(xs.shape[0], len(engine.fet_names))
+    res_batch, jac_batch = engine._evaluate_batch(xs, nominal, gmin, ctx)
+    assert np.array_equal(res_many, res_batch)
+    assert np.array_equal(jac_many, jac_batch)
+
+
+def test_evaluate_many_rows_match_scalar_with_source_scale_and_gmin_ref():
+    plan = complementary_chain(5).build_system()._plan
+    rng = np.random.default_rng(11)
+    xs = rng.normal(scale=0.5, size=(4, plan.size))
+    kwargs = dict(
+        source_scale=0.7, gmin=1e-6, gmin_ref=rng.normal(scale=0.5, size=plan.size)
+    )
+    residuals, jacobians = plan.evaluate_many(xs, **kwargs)
+    for i in range(xs.shape[0]):
+        res, jac = plan.evaluate(xs[i], **kwargs)
+        np.testing.assert_allclose(residuals[i], res, atol=ATOL, rtol=0.0)
+        np.testing.assert_allclose(jacobians[i], jac, atol=ATOL, rtol=0.0)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.circuit.assembly import SPARSE_THRESHOLD
 from repro.circuit.cells import build_inverter
 from repro.circuit.solver import solve_dc
 from repro.circuit.sweep import (
@@ -24,6 +25,7 @@ from repro.circuit.sweep import (
     FETVariation,
     SweepPlan,
     ensure_seed,
+    perturbed_circuit,
 )
 from repro.circuit.netlist import Circuit
 from repro.circuit.waveforms import DC
@@ -469,14 +471,46 @@ class TestCurrentSourceBatch:
         for i in range(nominal.n_instances):
             np.testing.assert_allclose(result.x[i], scalar, atol=1e-8)
 
-    def test_residual_rows_match_scalar_evaluation(self):
-        engine = CircuitMonteCarlo(self._biased_circuit())
+    def _sparse_chain(self):
+        """Complementary chain past the sparse threshold, with current sources."""
+        c = Circuit("isrc-sparse")
+        fet = AlphaPowerFET()
+        c.add_voltage_source("VDD", "vdd", "0", DC(1.0))
+        c.add_voltage_source("VIN", "s0", "0", DC(0.4))
+        n_stages = SPARSE_THRESHOLD
+        for i in range(n_stages):
+            c.add_fet(f"MP{i}", f"s{i+1}", f"s{i}", "vdd", PType(fet))
+            c.add_fet(f"MN{i}", f"s{i+1}", f"s{i}", "0", fet)
+        c.add_current_source("I1", "vdd", "s1", DC(1e-5))
+        c.add_current_source("I2", f"s{n_stages}", "0", DC(2e-5))
+        return c
+
+    @pytest.mark.parametrize("varied", [False, True], ids=["nominal", "sampled"])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_residual_rows_match_scalar_evaluation(self, sparse, varied):
+        circuit = self._sparse_chain() if sparse else self._biased_circuit()
+        engine = CircuitMonteCarlo(circuit)
+        assert engine.plan.use_sparse == sparse
         rng = np.random.default_rng(3)
         xs = rng.normal(scale=0.5, size=(4, engine.plan.size))
-        residuals, jacobians = engine._evaluate_batch(
-            xs, FETVariation.nominal(4, len(engine.fet_names))
-        )
+        n_fets = len(engine.fet_names)
+        if varied:
+            variation = FETVariation.sample(
+                4, n_fets, seed=5, drive_sigma=0.15, vth_sigma_v=0.02
+            )
+        else:
+            variation = FETVariation.nominal(4, n_fets)
+        residuals, jacobians = engine._evaluate_batch(xs, variation)
         for i in range(xs.shape[0]):
-            res, jac = engine.system.evaluate_dense(xs[i])
-            np.testing.assert_allclose(residuals[i], res, atol=1e-12)
-            np.testing.assert_allclose(jacobians[i], jac, atol=1e-12)
+            system = perturbed_circuit(circuit, variation, i).build_system()
+            res, jac = system.evaluate(xs[i])
+            if sparse:
+                # One canonical pattern, same scatter order: exact.
+                assert np.array_equal(residuals[i], res)
+                assert np.array_equal(jacobians[i], jac.data)
+            else:
+                # Single-FET perturbed groups stamp through
+                # ``linearize_point``, whose arithmetic differs in the
+                # last bits from the batched ``linearize``.
+                np.testing.assert_allclose(residuals[i], res, atol=1e-12)
+                np.testing.assert_allclose(jacobians[i], jac, atol=1e-12)
