@@ -28,6 +28,10 @@ compiles a :class:`StampPlan` once per :meth:`Circuit.build_system`:
   what lets the sweep engines stack N instances' CSR ``data`` arrays
   as ``(m, nnz)`` and batch sparse Monte Carlo.  Smaller systems — all
   the seed circuits — reuse preallocated dense buffers.
+* **Stacked evaluation has one kernel**, :meth:`StampPlan.evaluate_stack`,
+  with optional per-row companion state and per-instance FET variation;
+  the solver's line search (:meth:`StampPlan.evaluate_many`) and the
+  batched sweep engines both call it.
 
 The compiled path is numerically equivalent to the reference path (same
 stamps, same finite-difference linearization arithmetic); the test suite
@@ -114,19 +118,19 @@ class _FETGroup:
     """
 
     __slots__ = (
-        "device", "delta_v", "count", "sign", "elements",
+        "device", "delta_v", "count", "sign", "columns",
         "gather_dgs", "scatter_idx", "flat",
         "rows", "cols", "take", "_vals6", "_vals", "_scatter_vals",
         "use_points", "point_fets",
     )
 
-    def __init__(self, device, delta_v: float | None, fets: list, pad, jac_idx, size: int):
+    def __init__(self, device, delta_v: float | None, fets: list, column: dict, pad, jac_idx, size: int):
         self.device = device
         self.delta_v = delta_v
         self.count = len(fets)
-        # The FET elements in batch order — the sweep engine maps its
-        # per-instance parameter columns onto group slots through this.
-        self.elements = tuple(fets)
+        # Each slot's position in the circuit's FET order: the column
+        # of a per-instance variation array that perturbs it.
+        self.columns = np.array([column[id(f)] for f in fets], dtype=np.intp)
         signs = np.array([_unwrap_polarity(f.device)[1] for f in fets])
         self.sign = None if np.all(signs == 1.0) else signs
         gather_d = np.array([pad(f.drain) for f in fets], dtype=np.intp)
@@ -479,6 +483,7 @@ class StampPlan:
         isources: list[CurrentSource] = []
         capacitors: list[Capacitor] = []
         fet_bins: dict[tuple[int, float | None], list[FET]] = {}
+        fet_column: dict[int, int] = {}
         fet_devices: dict[tuple[int, float | None], object] = {}
 
         for element in circuit.elements:
@@ -511,6 +516,7 @@ class StampPlan:
                 base_device, _ = _unwrap_polarity(element.device)
                 key = (id(base_device), element.delta_v)
                 fet_bins.setdefault(key, []).append(element)
+                fet_column[id(element)] = len(fet_column)
                 fet_devices[key] = base_device
 
         self._static_rows = np.array(rows, dtype=np.intp)
@@ -539,7 +545,7 @@ class StampPlan:
         self._cap_vals = np.empty(2 * len(capacitors))
 
         self.fet_groups = [
-            _FETGroup(fet_devices[key], key[1], fets, pad, jac_idx, size)
+            _FETGroup(fet_devices[key], key[1], fets, fet_column, pad, jac_idx, size)
             for key, fets in fet_bins.items()
         ]
         # Linear-only circuits have a bias-independent Jacobian: the
@@ -562,6 +568,12 @@ class StampPlan:
         # Shared canonical pattern + one-time symbolic ordering for
         # every sparse Jacobian this plan (or a sweep over it) builds.
         self.sparse_schedule = _SparseSchedule(self) if self.use_sparse else None
+        # evaluate_stack's per-group Jacobian scatter targets: dense flat
+        # (row*size + col) offsets, or canonical sparse ``data`` positions.
+        self._group_scatter = (
+            self.sparse_schedule.group_pos if self.use_sparse
+            else [group.flat for group in self.fet_groups]
+        )
 
     def capacitance_stamp(self) -> np.ndarray:
         """The capacitance matrix C of the AC system ``(G + j w C) x = b``.
@@ -753,36 +765,78 @@ class StampPlan:
         gmin: float = 0.0,
         gmin_ref: np.ndarray | None = None,
     ):
-        """Residuals ``(k, size)`` and Jacobians ``(k, size, size)`` at a
-        stack of iterates sharing one evaluation context.
+        """Residuals and Jacobians at a stack of iterates sharing one
+        :meth:`evaluate` context (same keywords).
 
         The batched line-search entry: :func:`repro.circuit.solver.
         newton_solve` evaluates a whole damping ladder of trial points
         in one call, so each FET group costs one ``linearize`` over all
-        trials instead of one per trial.  Dense plans only (the Newton
-        solver guards); every arithmetic step is elementwise per row
-        (batched gemv, per-row scatters), mirroring
-        :meth:`evaluate` term by term.  Returns fresh arrays — rows
-        survive subsequent calls.
-
-        This kernel deliberately parallels
-        ``sweep._BatchedNewtonEngine._evaluate_batch`` (which threads
-        per-instance variation arrays and per-instance companion
-        state); a stamp fix applied here almost certainly applies
-        there too.
+        trials instead of one per trial.  An adapter over
+        :meth:`evaluate_stack`; the Newton solver calls it on dense
+        plans only.
         """
-        x_stack = np.asarray(x_stack, dtype=float)
-        k = x_stack.shape[0]
+        prevpad = None
+        if previous_x is not None:
+            prevpad = np.zeros(self.size + 1)
+            prevpad[: self.size] = previous_x
+        history = self.cap_state_array(state) if state else None
+        return self.evaluate_stack(
+            np.asarray(x_stack, dtype=float), time_s, dt_s, integrator,
+            prevpad, history, source_scale, gmin, gmin_ref,
+        )
+
+    def evaluate_stack(
+        self,
+        x: np.ndarray,
+        time_s: float | None,
+        dt_s: float | None,
+        integrator: str,
+        prevpad: np.ndarray | None,
+        history: np.ndarray | None,
+        source_scale: float = 1.0,
+        gmin: float = 0.0,
+        gmin_ref: np.ndarray | None = None,
+        vth_shift_v: np.ndarray | None = None,
+        drive_scale: np.ndarray | None = None,
+    ):
+        """Residuals ``(m, size)`` and Jacobians at a stack of ``m`` iterates.
+
+        The one stacked evaluation kernel.  Jacobians are fresh dense
+        ``(m, size, size)`` arrays, or ``(m, nnz)`` canonical CSR
+        ``data`` stacks for sparse plans.  ``prevpad`` (padded previous
+        solution) and ``history`` (trapezoidal companion currents) are
+        shared or per row; ``prevpad=None`` anchors the companion model
+        at each iterate, as :meth:`evaluate` does.  The optional ``(m,
+        n_fets)`` variation arrays, in the circuit's FET order, make
+        each FET carry ``scale * I(vgs - shift, vds)``.
+
+        Rows never mix: the linear residual is a batched gemv (CSR
+        column-wise matvecs for sparse plans), not one gemm, so each
+        row equals :meth:`evaluate`'s ``matrix @ x`` bitwise — the root
+        of the sweep engines' chunking/order/pool invariance.
+        """
+        m = x.shape[0]
         size = self.size
-        row_pad = np.arange(k, dtype=np.intp)[:, None] * (size + 1)
-        row_jac = np.arange(k, dtype=np.intp)[:, None] * (size * size)
+        row_pad = np.arange(m, dtype=np.intp)[:, None] * (size + 1)
         linear = self._linear_system(dt_s, integrator)
 
-        xpad = np.zeros((k, size + 1))
-        xpad[:, :size] = x_stack
-        rpad = np.zeros((k, size + 1))
-        rpad[:, :size] = np.matmul(linear.matrix, x_stack[..., None])[..., 0]
+        xpad = np.zeros((m, size + 1))
+        xpad[:, :size] = x
+        rpad = np.zeros((m, size + 1))
+        if self.use_sparse:
+            # CSR times a column stack: scipy's matvecs kernel runs the
+            # scalar matvec per column.
+            rpad[:, :size] = (linear.matrix @ x.T).T
+            base = self.sparse_schedule.linear_data(linear)
+        else:
+            rpad[:, :size] = np.matmul(linear.matrix, x[..., None])[..., 0]
+            base = linear.matrix
+        jac = np.empty((m,) + base.shape)
+        jac[:] = base
+        row_jac = np.arange(m, dtype=np.intp)[:, None] * base.size
         rflat = rpad.reshape(-1)
+        jflat = jac.reshape(-1)
+
         if self.vsrc_branch.size:
             levels = np.array([el.level(time_s) for el in self.vsources])
             rpad[:, self.vsrc_branch] -= source_scale * levels
@@ -790,59 +844,55 @@ class StampPlan:
             currents = source_scale * np.array(
                 [el.level(time_s) for el in self.isources]
             )
-            # ufunc.at does not broadcast shared values against a stack
-            # of per-row indices (it reads out of bounds); broadcast
-            # explicitly.
-            shared = np.broadcast_to(currents, (k, currents.size))
+            # ufunc.at does not broadcast shared values against a stack of
+            # per-row indices (it reads out of bounds); broadcast explicitly.
+            shared = np.broadcast_to(currents, (m, currents.size))
             np.add.at(rflat, row_pad + self.isrc_p, shared)
             np.add.at(rflat, row_pad + self.isrc_n, -shared)
         if dt_s is not None and self.cap_c.size:
-            if previous_x is not None:
-                prevpad = np.zeros(size + 1)
-                prevpad[:size] = previous_x
-            else:
-                # The scalar path anchors the companion model at the
-                # iterate itself when no previous solution is given.
-                prevpad = xpad
-            history = self.cap_state_array(state) if state else None
-            rhs = self.cap_history_rhs(prevpad, linear.cap_geq, integrator, history)
-            cap_vals = np.concatenate((rhs, -rhs), axis=-1)
-            np.add.at(
-                rflat,
-                row_pad + self.cap_scatter,
-                np.broadcast_to(cap_vals, (k,) + cap_vals.shape[-1:]),
+            rhs = self.cap_history_rhs(
+                xpad if prevpad is None else prevpad, linear.cap_geq, integrator, history
             )
+            cap_vals = np.concatenate((rhs, -rhs), axis=-1)
+            cap_vals = np.broadcast_to(cap_vals, (m, cap_vals.shape[-1]))
+            np.add.at(rflat, row_pad + self.cap_scatter, cap_vals)
 
-        jac = np.empty((k, size, size))
-        jac[:] = linear.matrix
-        jflat = jac.reshape(-1)
-        for group in self.fet_groups:
-            v = xpad[:, group.gather_dgs]  # (k, 3, count)
+        for group, scatter in zip(self.fet_groups, self._group_scatter):
+            v = xpad[:, group.gather_dgs]  # (m, 3, count)
             vgs = v[:, 1] - v[:, 2]
             vds = v[:, 0] - v[:, 2]
-            if group.sign is None:
-                current, gm, gds = group.device.linearize(vgs, vds, group.delta_v)
-            else:
-                current, gm, gds = group.device.linearize(
-                    group.sign * vgs, group.sign * vds, group.delta_v
-                )
+            if group.sign is not None:
+                vgs = group.sign * vgs
+                vds = group.sign * vds
+            if vth_shift_v is not None:
+                vgs = vgs - vth_shift_v[:, group.columns]
+            current, gm, gds = group.device.linearize(vgs, vds, group.delta_v)
+            if group.sign is not None:
                 current = group.sign * current
-            rvals = np.concatenate((current, -current), axis=1)
+            if drive_scale is not None:
+                scale = drive_scale[:, group.columns]
+                current = current * scale
+                gm = gm * scale
+                gds = gds * scale
+            rvals = np.concatenate((current, -current), axis=1)  # (m, 2*count)
             np.add.at(rflat, row_pad + group.scatter_idx, rvals)
             vals6 = np.stack(
                 (gds, gm, -(gm + gds), -gds, -gm, gm + gds), axis=1
-            )  # (k, 6, count), entry order matching group.take
-            entries = vals6.reshape(k, 6 * group.count)[:, group.take]
-            np.add.at(jflat, row_jac + group.flat, entries)
+            )  # (m, 6, count), entry order matching group.take
+            entries = vals6.reshape(m, 6 * group.count)[:, group.take]
+            np.add.at(jflat, row_jac + scatter, entries)
 
         residual = rpad[:, :size]
         if gmin > 0.0:
             n_nodes = self.n_nodes
-            residual[:, :n_nodes] += gmin * x_stack[:, :n_nodes]
+            residual[:, :n_nodes] += gmin * x[:, :n_nodes]
             if gmin_ref is not None:
                 residual[:, :n_nodes] -= gmin * gmin_ref[:n_nodes]
-            diag = np.einsum("ijj->ij", jac)
-            diag[:, :n_nodes] += gmin
+            if self.use_sparse:
+                jac[:, self.sparse_schedule.node_diag_pos] += gmin
+            else:
+                diag = np.einsum("ijj->ij", jac)
+                diag[:, :n_nodes] += gmin
         return residual, jac
 
     def sparse_newton_step(

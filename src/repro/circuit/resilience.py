@@ -456,6 +456,14 @@ class SweepExecutionError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+def _entry_valid(entry, validate: Callable) -> bool:
+    """One result entry against a per-entry validator; raising rejects."""
+    try:
+        return bool(validate(entry))
+    except Exception:
+        return False
+
+
 def _chunk_valid(payload, expected: int, validate: Callable | None) -> bool:
     """Boundary check of one chunk result before it may merge.
 
@@ -465,14 +473,7 @@ def _chunk_valid(payload, expected: int, validate: Callable | None) -> bool:
     """
     if not isinstance(payload, list) or len(payload) != expected:
         return False
-    if validate is not None:
-        for entry in payload:
-            try:
-                if not validate(entry):
-                    return False
-            except Exception:
-                return False
-    return True
+    return validate is None or all(_entry_valid(e, validate) for e in payload)
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,7 @@ from repro.circuit.netlist import Circuit
 from repro.circuit.resilience import (
     ExecutionPolicy,
     RunReport,
+    _entry_valid,
     fingerprint,
     run_supervised,
 )
@@ -320,7 +321,8 @@ class SweepPlan:
         retries with pool rebuild, serial degradation, chunk-granular
         checkpoint/resume.  Results are bitwise identical either way —
         a chunk's output depends only on its spec, never on where or
-        how often it executes.
+        how often it executes.  Without a policy every entry still
+        passes ``validate``; the first that fails raises ``ValueError``.
         """
         if policy is not None:
             results, _ = self.run_supervised(
@@ -341,7 +343,12 @@ class SweepPlan:
                 chunk_results = list(pool.map(_run_chunk, specs))
         else:
             chunk_results = [_run_chunk(spec) for spec in specs]
-        return [result for chunk in chunk_results for result in chunk]
+        results = [result for chunk in chunk_results for result in chunk]
+        if self.validate is not None:
+            for index, entry in enumerate(results):
+                if not _entry_valid(entry, self.validate):
+                    raise ValueError(f"sweep entry {index} failed the merge validator")
+        return results
 
     def run_supervised(
         self,
@@ -844,10 +851,12 @@ _DC_CONTEXT = _BatchContext()
 class _BatchedNewtonEngine:
     """Shared core of the circuit engines: one compiled plan, N instances.
 
-    Owns the compiled stamp plan, the FET-group to variation-column
-    mapping, the stacked residual/Jacobian evaluation
-    (:meth:`_evaluate_batch`) and the batched damped Newton iteration
-    (:meth:`_newton_batch`), in both DC and transient-step contexts.
+    Owns the compiled stamp plan and the batched damped Newton
+    iteration (:meth:`_newton_batch`), in both DC and transient-step
+    contexts.  Stacked evaluation has one kernel,
+    :meth:`repro.circuit.assembly.StampPlan.evaluate_stack`;
+    :meth:`_evaluate_batch` hands it the batch context and the
+    variation arrays.
     """
 
     _ENGINE_NAME = "batched engine"
@@ -865,18 +874,6 @@ class _BatchedNewtonEngine:
         if not self.fets:
             raise ValueError("circuit has no FETs to perturb")
         self.fet_names = tuple(f.name for f in self.fets)
-        column = {id(f): j for j, f in enumerate(self.fets)}
-        self._group_cols = [
-            np.array([column[id(f)] for f in group.elements], dtype=np.intp)
-            for group in plan.fet_groups
-        ]
-        # Per-group Jacobian scatter targets: flat (row*size + col)
-        # offsets into a dense (size, size) buffer, or canonical
-        # ``data`` positions on the plan's shared sparse pattern.
-        if plan.use_sparse:
-            self._group_scatter = list(plan.sparse_schedule.group_pos)
-        else:
-            self._group_scatter = [group.flat for group in plan.fet_groups]
         self.node_index = {
             node: self.system.node_index(node) for node in circuit.node_names
         }
@@ -885,7 +882,6 @@ class _BatchedNewtonEngine:
             for el in circuit.elements
             if isinstance(el, VoltageSource)
         }
-        self._offset_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def _check_variation(
         self, variation: FETVariation | None, n_instances: int | None
@@ -902,27 +898,6 @@ class _BatchedNewtonEngine:
         return variation
 
     # -- batched evaluation -----------------------------------------------------
-    def _offsets(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """Flat-index row offsets for padded-residual and Jacobian scatters.
-
-        The Jacobian stride is the per-instance storage width: the full
-        ``size * size`` dense buffer, or the canonical pattern's ``nnz``
-        for sparse plans.
-        """
-        cached = self._offset_cache.get(m)
-        if cached is None:
-            plan = self.plan
-            size = plan.size
-            jac_stride = (
-                plan.sparse_schedule.nnz if plan.use_sparse else size * size
-            )
-            cached = (
-                np.arange(m, dtype=np.intp)[:, None] * (size + 1),
-                np.arange(m, dtype=np.intp)[:, None] * jac_stride,
-            )
-            self._offset_cache[m] = cached
-        return cached
-
     def _evaluate_batch(
         self,
         x: np.ndarray,
@@ -932,105 +907,15 @@ class _BatchedNewtonEngine:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Stacked residuals (m, size) and Jacobians — dense ``(m, size,
         size)`` buffers, or ``(m, nnz)`` canonical-pattern CSR ``data``
-        stacks for sparse plans.
-
-        Mirrors :meth:`repro.circuit.assembly.StampPlan.evaluate` term
-        by term (same operation order) over a stack of instances.  The
-        linear residual uses a batched gemv (``matmul`` against column
-        vectors; CSR column-wise matvecs for sparse plans) rather than
-        one gemm, so each row is bitwise identical to the scalar path's
-        ``matrix @ x`` — the root of the engines' chunking/order/pool
-        bitwise-invariance contract.
-
-        This kernel deliberately parallels
-        :meth:`repro.circuit.assembly.StampPlan.evaluate_many` (the
-        shared-context line-search variant); a stamp fix applied here
-        almost certainly applies there too.
+        stacks for sparse plans — through
+        :meth:`repro.circuit.assembly.StampPlan.evaluate_stack`.
         """
-        plan = self.plan
-        size = plan.size
-        m = x.shape[0]
-        row_pad, row_jac = self._offsets(m)
-
-        xpad = np.zeros((m, size + 1))
-        xpad[:, :size] = x
-        linear = plan._linear_system(ctx.dt_s, ctx.integrator)
-
-        rpad = np.zeros((m, size + 1))
-        if plan.use_sparse:
-            # CSR times a column stack: scipy's matvecs kernel runs the
-            # scalar matvec per column, so each row matches the scalar
-            # path's ``matrix @ x`` bitwise.
-            rpad[:, :size] = (linear.matrix @ x.T).T
-        else:
-            rpad[:, :size] = np.matmul(linear.matrix, x[..., None])[..., 0]
-        rflat = rpad.reshape(-1)
-        if plan.vsrc_branch.size:
-            levels = np.array([el.level(ctx.time_s) for el in plan.vsources])
-            rpad[:, plan.vsrc_branch] -= levels
-        if plan.isrc_p.size:
-            currents = np.array([el.level(ctx.time_s) for el in plan.isources])
-            # ufunc.at does not broadcast shared values against a stack
-            # of per-row indices (it reads out of bounds) — broadcast
-            # explicitly.
-            shared = np.broadcast_to(currents, (m, currents.size))
-            np.add.at(rflat, row_pad + plan.isrc_p, shared)
-            np.add.at(rflat, row_pad + plan.isrc_n, -shared)
-        if ctx.dt_s is not None and plan.cap_c.size:
-            history = plan.cap_history_rhs(
-                ctx.prevpad, linear.cap_geq, ctx.integrator, ctx.state_currents
-            )
-            cap_vals = np.concatenate((history, -history), axis=1)
-            np.add.at(rflat, row_pad + plan.cap_scatter, cap_vals)
-
-        if plan.use_sparse:
-            jac = np.empty((m, plan.sparse_schedule.nnz))
-            jac[:] = plan.sparse_schedule.linear_data(linear)
-        else:
-            jac = np.empty((m, size, size))
-            jac[:] = linear.matrix
-        jflat = jac.reshape(-1)
-
-        for group, cols, scatter in zip(
-            plan.fet_groups, self._group_cols, self._group_scatter
-        ):
-            v = xpad[:, group.gather_dgs]  # (m, 3, count)
-            vgs = v[:, 1] - v[:, 2]
-            vds = v[:, 0] - v[:, 2]
-            shift = variation.vth_shift_v[:, cols]
-            scale = variation.drive_scale[:, cols]
-            if group.sign is None:
-                current, gm, gds = group.device.linearize(
-                    vgs - shift, vds, group.delta_v
-                )
-            else:
-                current, gm, gds = group.device.linearize(
-                    group.sign * vgs - shift, group.sign * vds, group.delta_v
-                )
-                current = group.sign * current
-            current = current * scale
-            gm = gm * scale
-            gds = gds * scale
-
-            rvals = np.concatenate((current, -current), axis=1)  # (m, 2*count)
-            np.add.at(rflat, row_pad + group.scatter_idx, rvals)
-
-            vals6 = np.stack(
-                (gds, gm, -(gm + gds), -gds, -gm, gm + gds), axis=1
-            )  # (m, 6, count), entry order matching group.take
-            entries = vals6.reshape(m, 6 * group.count)[:, group.take]
-            np.add.at(jflat, row_jac + scatter, entries)
-
-        residual = rpad[:, :size]
-        if gmin > 0.0:
-            n_nodes = plan.n_nodes
-            residual[:, :n_nodes] += gmin * x[:, :n_nodes]
-            if plan.use_sparse:
-                jac[:, plan.sparse_schedule.node_diag_pos] += gmin
-            else:
-                diag = np.einsum("ijj->ij", jac)
-                diag[:, :n_nodes] += gmin
-        return residual, jac
+        return self.plan.evaluate_stack(
+            x, ctx.time_s, ctx.dt_s, ctx.integrator, ctx.prevpad, ctx.state_currents,
+            gmin=gmin,
+            vth_shift_v=variation.vth_shift_v,
+            drive_scale=variation.drive_scale,
+        )
 
     def small_signal_jacobians(
         self, x: np.ndarray, variation: FETVariation | None = None

@@ -48,6 +48,15 @@ def _block_draw_kernel(params_block, rng, payload):
     return list(rng.normal(size=len(params_block)))
 
 
+def _one_malformed_kernel(params_block, rng, payload):
+    """Vectorized kernel whose entry for param 5 breaks the float schema."""
+    return [None if p == 5 else float(p) for p in params_block]
+
+
+def _is_float(entry):
+    return isinstance(entry, float)
+
+
 class _ScaledShiftedFET(FETModel):
     """Reference perturbation: scale * I(vgs - shift, vds), built explicitly."""
 
@@ -158,6 +167,15 @@ class TestSweepPlan:
             SweepPlan(_square_kernel, substream_block=0)
         with pytest.raises(ValueError):
             SweepPlan(_square_kernel).run([1], chunk_size=0)
+
+    @pytest.mark.parametrize("workers", [None, 2], ids=["serial", "pooled"])
+    def test_plain_run_validates_every_entry(self, workers):
+        plan = SweepPlan(
+            _one_malformed_kernel, vectorized=True, substream_block=4, validate=_is_float
+        )
+        with pytest.raises(ValueError, match="sweep entry 5 "):
+            plan.run(range(12), workers=workers)
+        assert plan.run(range(5), workers=workers) == [0.0, 1.0, 2.0, 3.0, 4.0]
 
     def test_ensure_seed_passthrough_and_entropy(self):
         assert ensure_seed(17) == 17
