@@ -32,6 +32,9 @@ from repro.circuit.sweep import SweepPlan
 
 __all__ = ["ButterflyResult", "SNMCornerSweep", "butterfly_snm", "snm_corner_sweep"]
 
+# x0 rows per block of the inscribed-square search.
+_X0_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class ButterflyResult:
@@ -172,10 +175,15 @@ def _lobe_snm(x: np.ndarray, f, f_inverse, n_grid: int) -> float:
     s_grid = np.linspace(0.0, span, n_grid)
     y0_min = f_inverse(x0_grid)  # smallest y0 right of curve B
     # headroom(x0, s) = f(x0 + s) - s - y0_min(x0); feasible where >= 0.
-    corner_x = x0_grid[:, None] + s_grid[None, :]
-    headroom = f(corner_x) - s_grid[None, :] - y0_min[:, None]
-    feasible = headroom >= 0.0
-    if not feasible.any():
+    # Blocks of x0 rows keep the temporaries small (the whole grid of an
+    # 801-point search would need ~15 MB at once).
+    fits = np.zeros(n_grid, dtype=bool)  # per side s: some x0 fits it
+    for start in range(0, n_grid, _X0_BLOCK):
+        rows = slice(start, start + _X0_BLOCK)
+        headroom = f(x0_grid[rows, None] + s_grid[None, :])
+        headroom -= s_grid[None, :]
+        headroom -= y0_min[rows, None]
+        fits |= (headroom >= 0.0).any(axis=0)
+    if not fits.any():
         return 0.0
-    best_index = np.max(np.where(feasible.any(axis=0))[0])
-    return float(s_grid[best_index])
+    return float(s_grid[np.flatnonzero(fits)[-1]])

@@ -199,7 +199,7 @@ class SurrogateFET(_TableFET):
     clamped edge point, so stray Newton iterates see finite currents
     and conductances.
 
-    Instances pickle by table (the spline is rebuilt on load), which
+    Instances pickle by table (the splines are rebuilt on load), which
     keeps them safe to ship to :class:`~repro.circuit.sweep.SweepPlan`
     process-pool workers.
     """
@@ -221,6 +221,8 @@ class SurrogateFET(_TableFET):
             raise ValueError(f"h_ref must be positive, got {h_ref}")
         if symmetric and self._vds[0] != 0.0:
             raise ValueError("symmetric surrogates must tabulate from vds = 0")
+        if min(self._vgs.size, self._vds.size) < 3:
+            raise ValueError("surrogate grids need >= 3 points per axis")
         self._h_ref = float(h_ref)
         self.mirror_symmetric = bool(symmetric)
         self.fit_error = None if fit_error is None else float(fit_error)
@@ -235,11 +237,17 @@ class SurrogateFET(_TableFET):
         self._spline = RectBivariateSpline(
             self._vgs, self._vds, s_table, kx=kx, ky=ky, s=0
         )
+        # The partial-derivative splines, built once: ``ev(dx=1)`` and
+        # ``ev(dy=1)`` give the same values but rebuild these
+        # coefficients over the whole table on every call.
+        self._spline_dvgs = self._spline.partial_derivative(1, 0)
+        self._spline_dvds = self._spline.partial_derivative(0, 1)
 
-    # -- pickling: ship the table, rebuild the spline -----------------------
+    # -- pickling: ship the table, rebuild the splines ----------------------
     def __getstate__(self):
         state = dict(self.__dict__)
-        state.pop("_spline", None)
+        for spline in ("_spline", "_spline_dvgs", "_spline_dvds"):
+            state.pop(spline, None)
         state["source"] = None  # keep pool payloads small and picklable
         return state
 
@@ -269,15 +277,16 @@ class SurrogateFET(_TableFET):
     # -- evaluation ---------------------------------------------------------
     def _eval_forward(self, vgs: np.ndarray, vds: np.ndarray):
         """(I, dI/dvgs, dI/dvds) on the tabulated quadrant (clamp + Taylor)."""
-        vg = np.clip(vgs, self._vgs[0], self._vgs[-1])
-        vd = np.clip(vds, self._vds[0], self._vds[-1])
-        s = self._spline.ev(vg, vd)
-        s_g = self._spline.ev(vg, vd, dx=1)
-        s_d = self._spline.ev(vg, vd, dy=1)
+        # ndarray.clip is np.clip without its dispatch layers.
+        vg = vgs.clip(self._vgs[0], self._vgs[-1])
+        vd = vds.clip(self._vds[0], self._vds[-1])
+        s = self._spline(vg, vd, grid=False)
+        s_g = self._spline_dvgs(vg, vd, grid=False)
+        s_d = self._spline_dvds(vg, vd, grid=False)
         h = self._h_ref * np.sinh(s)
-        slope = self._h_ref * np.cosh(s)
-        gm = vd * slope * s_g
-        gds = h + vd * slope * s_d
+        vd_slope = vd * (self._h_ref * np.cosh(s))
+        gm = vd_slope * s_g
+        gds = h + vd_slope * s_d
         current = vd * h
         # First-order continuation outside the box: in-box points add
         # exact zeros, so the branch-free form stays bitwise clean.

@@ -3,8 +3,9 @@
 "CNT-FETs are clear frontrunners in the search of a future CMOS switch,
 that will enable further voltage and gate length scaling."  This
 experiment sweeps the supply voltage for complementary inverters built
-from the *physical* ballistic CNT-FET model and from the Si-trigate
-reference, on the package's own circuit simulator, and tracks:
+from the *physical* ballistic CNT-FET model (through its cached spline
+surrogate) and from the Si-trigate reference, on the package's own
+circuit simulator, and tracks:
 
 * noise margin as a fraction of VDD (logic robustness),
 * CV/I drive delay at a fixed load (performance),
@@ -19,17 +20,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.analysis.snm import butterfly_snm
 from repro.analysis.timing import cv_over_i_delay_s
 from repro.analysis.vtc import analyze_vtc
 from repro.circuit.cells import inverter_vtc
 from repro.devices.base import FETModel
 from repro.devices.cntfet import CNTFET
-from repro.devices.empirical import TabulatedFET
 from repro.devices.fabric import CNTFabricFET
 from repro.devices.reference import trigate_intel_22nm
+from repro.devices.surrogate import compile_surrogate
 
 __all__ = ["ScalingPoint", "ScalingResult", "run_voltage_scaling"]
 
@@ -115,16 +114,16 @@ def _scaling_point(
 def run_voltage_scaling(supplies_v=SUPPLIES_V) -> ScalingResult:
     """Sweep complementary inverters over supply voltage.
 
-    The physical CNT-FET is frozen into a bilinear table before the
-    sweeps (hundreds of Newton solves otherwise); the drive device is an
+    The physical CNT-FET runs as its compiled spline surrogate
+    (:func:`~repro.devices.surrogate.compile_surrogate`: hundreds of
+    Newton solves otherwise), the same content-addressed table the
+    surrogate report and the ``--physical`` stacks use, so it is filled
+    once and then served from the cache.  The drive device is an
     iso-footprint fabric — as many tubes at 8 nm pitch as fit in the
     trigate's effective width.  Noise margins use the single-tube VTC
     (ratios are unchanged by parallel composition of identical tubes).
     """
-    cnt_physical = CNTFET.reference_device()
-    vgs_grid = np.linspace(-0.6, 1.3, 77)
-    vds_grid = np.linspace(0.0, 1.3, 53)
-    cnt = TabulatedFET.from_model(cnt_physical, vgs_grid, vds_grid)
+    cnt = compile_surrogate(CNTFET.reference_device())
     silicon = trigate_intel_22nm()
     tubes = max(1, int(silicon.effective_width_nm // FABRIC_PITCH_NM))
     fabric = CNTFabricFET([cnt] * tubes, n_metallic=0, pitch_nm=FABRIC_PITCH_NM)

@@ -56,10 +56,17 @@ class Subband:
         """
         return self.edge_ev * Q / (self.fermi_velocity**2)
 
-    def energy_ev(self, k_per_m):
-        """Dispersion E(k) [eV above midgap] for wavevector k [1/m]."""
-        hbar_v_k = HBAR * self.fermi_velocity * np.asarray(k_per_m, dtype=float) / Q
-        return np.sqrt(self.edge_ev**2 + hbar_v_k**2)
+    def energy_ev(self, k_per_m, out=None):
+        """Dispersion E(k) [eV above midgap] for wavevector k [1/m].
+
+        With ``out`` (a float array, which may be ``k_per_m`` itself)
+        the same values are computed in place.
+        """
+        energy = np.multiply(HBAR * self.fermi_velocity, k_per_m, out=out)
+        energy /= Q  # hbar v k [eV]
+        energy **= 2
+        energy += self.edge_ev**2
+        return np.sqrt(energy, out=out)
 
     def wavevector_per_m(self, energy_ev):
         """Inverse dispersion k(E) [1/m] for energies at/above the edge."""

@@ -25,13 +25,17 @@ __all__ = [
 ]
 
 
-def fermi_occupation(eta):
+def fermi_occupation(eta, out=None):
     """Occupation 1 / (1 + exp(eta)) at the reduced energy eta = (E - mu)/kT.
 
-    eta is clipped to +/-500, beyond which the occupation is exactly 0
-    or 1 in double precision, so exp never overflows.
+    eta is capped at 500, so exp never overflows; there the occupation
+    is 1/(1 + e^500) ~ 7.1e-218, not 0.  No lower cap is needed: below
+    eta ~ -37 the occupation rounds to exactly 1.  With ``out`` (a float
+    array, which may be ``eta`` itself) the result is computed in place.
     """
-    return 1.0 / (1.0 + np.exp(np.clip(eta, -500.0, 500.0)))
+    occupation = np.exp(np.minimum(eta, 500.0, out=out), out=out)
+    occupation += 1.0
+    return np.divide(1.0, occupation, out=out)
 
 
 def fermi_dirac(energy_ev, mu_ev, temperature_k: float = ROOM_TEMPERATURE_K):

@@ -51,12 +51,16 @@ __all__ = ["BallisticParameters", "OperatingPoint", "TopOfBarrierSolver"]
 # 4e-15 eV in barrier; 128 give 2.3e-9 at 77 K.  The energy step must stay
 # below ~0.5 kT, so very low temperatures need more samples.  Not 256:
 # benchmarks/test_surrogate_bench.py needs the spline surrogate >= 30x
-# faster than direct evaluation, whose cost scales with this count.
+# faster than direct evaluation, whose cost scales with this count; at
+# 512 that ratio read 50-64x over five fresh processes (34-78x over 18)
+# on a 2-CPU x86_64 container.
 _K_SAMPLES = 512
 _MAX_NEWTON_ITERATIONS = 200
-# Bias points per vectorised solve slab: bounds the (points x k-samples)
+# Bias points per vectorised solve slab: bounds the (k-samples x points)
 # work arrays to a few MB while keeping numpy dispatch overhead amortised.
 _BATCH_CHUNK = 256
+# Sample indices of every k grid, as a column: grids are (k, points).
+_K_INDEX = np.arange(_K_SAMPLES, dtype=float)[:, None]
 
 
 @dataclass(frozen=True)
@@ -136,6 +140,14 @@ class TopOfBarrierSolver:
             band.edge_ev - first_edge - params.ef_offset_ev for band in bands.subbands
         ]
         self._kt = KB_EV * params.temperature_k
+        # Where the higher Fermi level sits at or below a subband's edge,
+        # its k grid only has to cover the 30 kT floor, which is the same
+        # for every bias point: build that grid's energies once.
+        self._floor_grids = []
+        for band in bands.subbands:
+            band_energy = np.empty((_K_SAMPLES, 1))
+            dk = self._band_energy(band, np.full(1, 30.0 * self._kt), out=band_energy)
+            self._floor_grids.append((dk, band_energy))
         self._n0 = float(self._density(np.zeros(1), np.zeros(1))[0][0])
 
     # -- public API --------------------------------------------------------
@@ -268,6 +280,21 @@ class TopOfBarrierSolver:
             density[active] = self._density(barrier[active], mu_d[active])[0]
         return self._current(barrier, mu_d), barrier, density, iterations
 
+    def _band_energy(self, band, e_top_rel: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """E(k) - edge on each point's k grid into ``out``; returns the k steps.
+
+        Each grid is ``np.linspace(0, k_max, _K_SAMPLES)`` (built here
+        without its temporaries) and reaches ``e_top_rel`` above the
+        subband edge.  ``out`` has shape ``(k, points)``.
+        """
+        k_max = band.wavevector_per_m(band.edge_ev + e_top_rel)
+        dk = k_max / (_K_SAMPLES - 1)
+        np.multiply(_K_INDEX, dk, out=out)
+        out[-1] = k_max
+        band.energy_ev(out, out=out)
+        out -= band.edge_ev
+        return dk
+
     def _density(self, barrier_ev: np.ndarray, mu_d: np.ndarray):
         """Carrier density N [1/m] and dN/dU [1/(m eV)] of a point slab.
 
@@ -275,23 +302,41 @@ class TopOfBarrierSolver:
         dN/dU = -sum_j g_j/(2 pi) int f (1 - f) / kT dk reuses the
         occupations the density is built from.  It is always negative:
         raising the barrier empties it.
+
+        Three ``(k, points)`` C-order work arrays serve every subband,
+        updated in place; summing them over axis 0 adds the k samples
+        in the order ``tests/oracles/top_of_barrier.py`` pins.
         """
         density, derivative = np.zeros((2, barrier_ev.size))
+        energy, occ_s, spread = np.empty((3, _K_SAMPLES, barrier_ev.size))
         kt = self._kt
         mu_max = np.maximum(0.0, mu_d)
-        for band, edge in zip(self.bands.subbands, self._edges_ev):
+        for band, edge, (floor_dk, floor_energy) in zip(
+            self.bands.subbands, self._edges_ev, self._floor_grids
+        ):
             edge_abs = edge + barrier_ev
-            # k grid covering occupations up to ~30 kT above the higher Fermi level.
-            e_top_rel = np.maximum(mu_max - edge_abs, 0.0) + 30.0 * kt
-            k_max = band.wavevector_per_m(band.edge_ev + e_top_rel)
-            k = np.linspace(0.0, k_max, _K_SAMPLES, axis=-1)
-            dk = k_max / (_K_SAMPLES - 1)
-            energy_abs = edge_abs[:, None] + (band.energy_ev(k) - band.edge_ev)
-            occ_s = fermi_occupation(energy_abs / kt)
-            occ_d = fermi_occupation((energy_abs - mu_d[:, None]) / kt)
+            above = mu_max - edge_abs
+            if np.all(above <= 0.0):
+                dk = floor_dk
+                np.add(edge_abs, floor_energy, out=energy)
+            else:
+                # k grid covering occupations up to ~30 kT above the higher Fermi level.
+                dk = self._band_energy(band, np.maximum(above, 0.0) + 30.0 * kt, out=energy)
+                energy += edge_abs
+            np.divide(energy, kt, out=occ_s)
+            fermi_occupation(occ_s, out=occ_s)
+            energy -= mu_d
+            energy /= kt
+            occ_d = fermi_occupation(energy, out=energy)
             weight = band.degeneracy / (2.0 * math.pi)
-            density += weight * _trapz_uniform(occ_s + occ_d, dk)
-            spread = occ_s * (1.0 - occ_s) + occ_d * (1.0 - occ_d)
+            np.add(occ_s, occ_d, out=spread)
+            density += weight * _trapz_uniform(spread, dk)
+            # f (1 - f) of both reservoirs, reusing the occupation buffers.
+            np.subtract(1.0, occ_s, out=spread)
+            spread *= occ_s
+            np.subtract(1.0, occ_d, out=occ_s)
+            occ_s *= occ_d
+            spread += occ_s
             derivative -= weight / kt * _trapz_uniform(spread, dk)
         return density, derivative
 
@@ -310,6 +355,6 @@ class TopOfBarrierSolver:
 
 
 def _trapz_uniform(y: np.ndarray, dk: np.ndarray) -> np.ndarray:
-    """Trapezoid integral along the last axis on a uniform grid of step dk."""
-    interior = y.sum(axis=-1) - 0.5 * (y[..., 0] + y[..., -1])
+    """Trapezoid integral along the first (k) axis on a uniform grid of step dk."""
+    interior = y.sum(axis=0) - 0.5 * (y[0] + y[-1])
     return interior * dk

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.snm import butterfly_snm
+from repro.analysis.snm import _lobe_snm, butterfly_snm
 from repro.circuit.cells import inverter_vtc
 from repro.devices.empirical import AlphaPowerFET, NonSaturatingFET
 
@@ -12,6 +12,36 @@ def steep_vtc(vdd=1.0, steepness=60.0, n=801):
     v_in = np.linspace(0.0, vdd, n)
     v_out = vdd / (1.0 + np.exp(steepness * (v_in - vdd / 2.0)))
     return v_in, v_out
+
+
+def _whole_grid_lobe(x, f, f_inverse, n_grid):
+    """The inscribed-square search on the full (x0, s) grid at once."""
+    span = float(x[-1] - x[0])
+    x0_grid = np.linspace(x[0], x[-1], n_grid)
+    s_grid = np.linspace(0.0, span, n_grid)
+    y0_min = f_inverse(x0_grid)
+    headroom = f(x0_grid[:, None] + s_grid[None, :]) - s_grid[None, :] - y0_min[:, None]
+    feasible = headroom >= 0.0
+    if not feasible.any():
+        return 0.0
+    return float(s_grid[np.max(np.where(feasible.any(axis=0))[0])])
+
+
+@pytest.mark.parametrize("n_grid", [5, 64, 65, 801])
+def test_blocked_lobe_search_equals_whole_grid(n_grid):
+    for steepness, shift in [(6.0, 0.0), (40.0, 0.08), (400.0, -0.05)]:
+        v_in = np.linspace(0.0, 1.0, 161)
+        v_out = 1.0 / (1.0 + np.exp(steepness * (v_in - 0.5 - shift)))
+        y = np.minimum.accumulate(v_out) - 1e-12 * np.arange(v_in.size)
+
+        def f(values):
+            return np.interp(values, v_in, y)
+
+        def f_inverse(values):
+            return np.interp(values, y[::-1], v_in[::-1])
+
+        for args in ((v_in, f, f_inverse), (np.sort(y), f_inverse, f)):
+            assert _lobe_snm(*args, n_grid) == _whole_grid_lobe(*args, n_grid)
 
 
 class TestIdealisedCurves:

@@ -13,6 +13,9 @@ Covers the tentpole contracts of :mod:`repro.devices.surrogate`:
   disabling, and the identity fallback for unfingerprintable models.
 """
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -142,6 +145,76 @@ class TestAnalyticDerivatives:
         assert np.isfinite(current).all() and np.isfinite(gm).all()
         assert gm[0] == edge_gm[0]  # derivative frozen at the clamped edge
         assert current[0] == pytest.approx(edge_c[0] + 0.5 * edge_gm[0], rel=1e-12)
+
+
+class _PerCallDerivative:
+    """``spline.ev`` at a fixed derivative order: derivative coefficients
+    rebuilt on every call, the form the prebuilt splines replace."""
+
+    def __init__(self, spline, dx, dy):
+        self.spline, self.dx, self.dy = spline, dx, dy
+
+    def __call__(self, x, y, grid=False):
+        assert not grid
+        return self.spline.ev(x, y, dx=self.dx, dy=self.dy)
+
+
+def _per_call_form(surrogate):
+    clone = copy.copy(surrogate)
+    clone._spline_dvgs = _PerCallDerivative(surrogate._spline, 1, 0)
+    clone._spline_dvds = _PerCallDerivative(surrogate._spline, 0, 1)
+    return clone
+
+
+def _probe_points(surrogate, n, seed):
+    """Interior, knot, box-edge, out-of-box and mirrored (vds < 0) biases."""
+    rng = np.random.default_rng(seed)
+    g, d = surrogate.vgs_grid, surrogate.vds_grid
+    vgs = rng.uniform(g[0] - 0.3, g[-1] + 0.3, n)
+    vds = rng.uniform(-d[-1] - 0.2, d[-1] + 0.2, n)
+    knots = rng.random(n) < 0.3
+    vgs[knots] = rng.choice(g, knots.sum())
+    vds[knots] = rng.choice(d, knots.sum()) * rng.choice([-1.0, 1.0], knots.sum())
+    edges = rng.random(n) < 0.2
+    vgs[edges] = rng.choice([g[0], g[-1]], edges.sum())
+    vds[edges] = rng.choice([d[0], d[-1], -d[-1]], edges.sum())
+    return vgs, vds
+
+
+class TestPrebuiltDerivativeSplines:
+    """The derivative splines built once give the per-call values bit for bit."""
+
+    @pytest.mark.parametrize("model", [NonSaturatingFET, AlphaPowerFET])
+    def test_linearize_bitwise_equals_per_call_derivatives(self, model):
+        surrogate = compile_surrogate(model())
+        reference = _per_call_form(surrogate)
+        for seed, n in enumerate((1, 2, 3, 7, 64, 500, 5000)):
+            vgs, vds = _probe_points(surrogate, n, seed)
+            for ours, theirs in zip(surrogate.linearize(vgs, vds), reference.linearize(vgs, vds)):
+                assert np.array_equal(ours, theirs)
+
+    def test_linearize_point_bitwise_equals_per_call_derivatives(self):
+        surrogate = compile_surrogate(NonSaturatingFET())
+        reference = _per_call_form(surrogate)
+        vgs, vds = _probe_points(surrogate, 300, seed=21)
+        g, d = surrogate.vgs_grid, surrogate.vds_grid
+        corners = [(g[0], d[0]), (g[-1], d[-1]), (g[-1], -d[-1]), (g[0] - 1.0, 0.0)]
+        for a, b in [*zip(vgs.tolist(), vds.tolist()), *corners]:
+            assert surrogate.linearize_point(a, b) == reference.linearize_point(a, b)
+
+    def test_pickle_round_trip_rebuilds_the_splines(self):
+        surrogate = compile_surrogate(NonSaturatingFET())
+        state = surrogate.__getstate__()
+        assert not {"_spline", "_spline_dvgs", "_spline_dvds"} & state.keys()
+        clone = pickle.loads(pickle.dumps(surrogate))
+        vgs, vds = _probe_points(surrogate, 200, seed=4)
+        for ours, theirs in zip(clone.linearize(vgs, vds), surrogate.linearize(vgs, vds)):
+            assert np.array_equal(ours, theirs)
+        assert clone.linearize_point(0.4, -0.3) == surrogate.linearize_point(0.4, -0.3)
+
+    def test_grids_need_three_points_per_axis(self):
+        with pytest.raises(ValueError, match="3 points"):
+            SurrogateFET([0.0, 1.0], [0.0, 0.5, 1.0], np.ones((2, 3)), h_ref=1.0)
 
 
 class TestComposition:

@@ -7,7 +7,9 @@ charge integrals on a per-point k grid, a separate ``cosh`` pass for
 dN/dU and the closed-form F0 Landauer current.  :func:`series_current`
 solves the contact-resistance self-consistency of
 :class:`repro.devices.contacts.SeriesResistanceFET` with scipy's
-``brentq``, one bias point per call.
+``brentq``, one bias point per call.  :func:`slab_density` is a frozen
+copy of the batched kernel's density pass before it moved to in-place
+``(k, points)`` work arrays; the kernel must stay bitwise equal to it.
 """
 
 from __future__ import annotations
@@ -26,6 +28,48 @@ _MAX_NEWTON_ITERATIONS = 200
 
 def _fermi(x):
     return 1.0 / (1.0 + np.exp(np.clip(x, -500.0, 500.0)))
+
+
+def slab_density(solver, barrier_ev: np.ndarray, mu_d: np.ndarray):
+    """``(N, dN/dU)`` of a point slab, as the batched kernel once computed them.
+
+    ``solver`` is a :class:`repro.transport.ballistic.TopOfBarrierSolver`
+    (its bands, edges and kT are read, nothing else).  Each ``(points,
+    k)`` array here comes from ``np.linspace(..., axis=-1)`` and is in
+    Fortran order, which fixes the summation order of the k integrals:
+
+    - ``sum(axis=-1)`` of an F-order array adds the k samples one after
+      the other for a slab of two or more points, but pairwise for a
+      one-point slab (whose array is contiguous along k).  A rewrite
+      keeps the same order with ``(k, points)`` C-order arrays summed
+      over axis 0.
+    - ``a[:, mask]`` and other fancy column selections return F-order
+      arrays, which flips a ``(k, points)`` sum to pairwise; a rewrite
+      must not subset its work arrays that way.
+    """
+    density, derivative = np.zeros((2, barrier_ev.size))
+    kt = solver._kt
+    k_samples = 512
+    mu_max = np.maximum(0.0, mu_d)
+    for band, edge in zip(solver.bands.subbands, solver._edges_ev):
+        edge_abs = edge + barrier_ev
+        e_top_rel = np.maximum(mu_max - edge_abs, 0.0) + 30.0 * kt
+        k_max = band.wavevector_per_m(band.edge_ev + e_top_rel)
+        k = np.linspace(0.0, k_max, k_samples, axis=-1)
+        dk = k_max / (k_samples - 1)
+        energy_abs = edge_abs[:, None] + (band.energy_ev(k) - band.edge_ev)
+        occ_s = _fermi(energy_abs / kt)
+        occ_d = _fermi((energy_abs - mu_d[:, None]) / kt)
+        weight = band.degeneracy / (2.0 * math.pi)
+        density += weight * _trapz_last_axis(occ_s + occ_d, dk)
+        spread = occ_s * (1.0 - occ_s) + occ_d * (1.0 - occ_d)
+        derivative -= weight / kt * _trapz_last_axis(spread, dk)
+    return density, derivative
+
+
+def _trapz_last_axis(y: np.ndarray, dk: np.ndarray) -> np.ndarray:
+    interior = y.sum(axis=-1) - 0.5 * (y[..., 0] + y[..., -1])
+    return interior * dk
 
 
 class ScalarTopOfBarrier:

@@ -30,6 +30,21 @@ class TestSubband:
         expected = HBAR * VFERMI * k / Q
         assert subband.energy_ev(k) == pytest.approx(expected, rel=1e-2)
 
+    def test_dispersion_bitwise_in_every_form(self, subband):
+        # Arrays, scalars and the in-place form all give the textbook
+        # expression's bits (scalars square through np.float64 power).
+        k = np.random.default_rng(2).uniform(0.0, 3e9, 4000)
+
+        def textbook(k):
+            return np.sqrt(subband.edge_ev**2 + (HBAR * VFERMI * np.asarray(k, dtype=float) / Q) ** 2)
+
+        assert np.array_equal(subband.energy_ev(k), textbook(k))
+        grid = k.reshape(80, 50).copy()
+        assert subband.energy_ev(grid, out=grid) is grid
+        assert np.array_equal(grid, textbook(k).reshape(80, 50))
+        for value in k[:500].tolist():
+            assert subband.energy_ev(value) == textbook(value)
+
     def test_wavevector_inverts_dispersion(self, subband):
         for e in (0.3, 0.5, 1.0):
             k = subband.wavevector_per_m(e)

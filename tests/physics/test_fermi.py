@@ -10,6 +10,7 @@ from repro.physics.fermi import (
     fermi_dirac,
     fermi_integral_f0,
     fermi_integral_fm1,
+    fermi_occupation,
     occupation_window,
 )
 
@@ -46,6 +47,43 @@ class TestFermiDirac:
         # f(E - mu) + f(mu - E) = 1
         e = eta * 0.0259
         assert fermi_dirac(e, 0.0) + fermi_dirac(-e, 0.0) == pytest.approx(1.0)
+
+
+def _clip_form(eta):
+    """The occupation with eta clipped on both sides to +/-500."""
+    return 1.0 / (1.0 + np.exp(np.clip(eta, -500.0, 500.0)))
+
+
+class TestOccupation:
+    _SPECIAL = [np.inf, -np.inf, np.nan, 500.0, -500.0, 745.0, -745.0, 0.0, -0.0, 36.8, -36.8]
+
+    def _etas(self):
+        rng = np.random.default_rng(20)
+        return np.concatenate([self._SPECIAL, rng.uniform(-800.0, 800.0, 20_000)])
+
+    def test_bitwise_equal_to_clip_form(self):
+        eta = self._etas()
+        assert np.array_equal(fermi_occupation(eta), _clip_form(eta), equal_nan=True)
+        grid = eta[:20_000].reshape(400, 50)  # a (k, points) slab
+        assert np.array_equal(fermi_occupation(grid), _clip_form(grid), equal_nan=True)
+
+    def test_in_place_form_is_bitwise_equal(self):
+        eta = self._etas()
+        out = eta.copy()
+        assert fermi_occupation(out, out=out) is out
+        assert np.array_equal(out, _clip_form(eta), equal_nan=True)
+        buffer = np.empty_like(eta)
+        fermi_occupation(eta, out=buffer)
+        assert np.array_equal(buffer, _clip_form(eta), equal_nan=True)
+
+    def test_scalars_match_clip_form(self):
+        for eta in self._SPECIAL:
+            assert np.array_equal(fermi_occupation(eta), _clip_form(eta), equal_nan=True)
+
+    def test_capped_tail_is_tiny_not_zero(self):
+        # The cap at eta = 500 leaves 1/(1 + e^500) ~ 7.1e-218.
+        assert fermi_occupation(1e6) == pytest.approx(7.12e-218, rel=1e-3)
+        assert fermi_occupation(-1e6) == 1.0
 
 
 class TestF0Integral:

@@ -10,7 +10,7 @@ from repro.physics.cnt import Chirality
 from repro.physics.electrostatics import gate_all_around_capacitance
 from repro.transport.ballistic import BallisticParameters, TopOfBarrierSolver
 
-from oracles.top_of_barrier import ScalarTopOfBarrier
+from oracles.top_of_barrier import ScalarTopOfBarrier, slab_density
 
 
 @pytest.fixture(scope="module")
@@ -159,3 +159,46 @@ def test_k_grid_matches_refined_quadrature(name):
         barrier, _, current, _ = reference.solve(vgs, vds)
         assert op.barrier_ev == pytest.approx(barrier, rel=0.0, abs=1e-13)
         assert op.current_a == pytest.approx(current, rel=1e-12, abs=0.0)
+
+
+# -- density pass against its frozen form ---------------------------------------
+def _slab(kernel, size, kind, rng):
+    """(barrier, mu_d) of a slab whose points sit at the lowest subband's
+    30 kT k-grid floor: all, some or none of them."""
+    mu_d = -rng.uniform(0.0, 1.2, size)
+    if kind == "mixed":
+        mu_d[::3] = rng.uniform(0.0, 0.3, mu_d[::3].size)  # reversed drains
+    mu_max = np.maximum(0.0, mu_d)
+    floor_barrier = mu_max - kernel._edges_ev[0]
+    rise = rng.uniform(0.0, 0.4, size)
+    if kind == "all_floor":
+        barrier = floor_barrier + rise
+        barrier[0] = floor_barrier[0]  # on the floor's edge
+    elif kind == "no_floor":
+        barrier = floor_barrier - 0.005 - rise
+    else:
+        barrier = floor_barrier + np.where(np.arange(size) % 2 == 0, rise, -0.005 - rise)
+    at_floor = mu_max - (kernel._edges_ev[0] + barrier) <= 0.0
+    floor_count = {"all_floor": size, "no_floor": 0}.get(kind, (size + 1) // 2)
+    assert at_floor.sum() == floor_count
+    return barrier, mu_d
+
+
+@pytest.mark.parametrize("kind", ["all_floor", "mixed", "no_floor"])
+@pytest.mark.parametrize("name", ["reference_cnt", "gnr", "cnt_77k"])
+def test_density_pass_bitwise_equals_frozen_form(name, kind):
+    """In-place (k, points) work arrays change no bit of N or dN/dU.
+
+    Slab sizes 1 (pairwise k sums) through 256 (sequential), with the
+    lowest subband at the shared 30 kT floor for all, some or none of
+    the points; the higher subbands mostly sit at the floor.
+    """
+    device = _GUARD_DEVICES[name]()
+    kernel = TopOfBarrierSolver(device.bands, device.params)
+    rng = np.random.default_rng(7)
+    for size in (1, 2, 3, 17, 256):
+        barrier, mu_d = _slab(kernel, size, kind, rng)
+        density, derivative = kernel._density(barrier, mu_d)
+        frozen_density, frozen_derivative = slab_density(kernel, barrier, mu_d)
+        assert np.array_equal(density, frozen_density)
+        assert np.array_equal(derivative, frozen_derivative)
