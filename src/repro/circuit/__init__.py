@@ -14,20 +14,30 @@ oscillators solve with no hand-fed initial guess, and failures raise
 :class:`ConvergenceError` carrying the full ladder history.
 
 Assembly architecture (see :mod:`repro.circuit.assembly`): at
-``build_system()`` time the netlist is compiled into a stamp plan that
-splits elements into a *linear* group (R, C companion models, V/I
+``build_system()`` time every netlist is compiled into a stamp plan
+(element types it cannot stamp raise ``UnsupportedElement``).  The
+plan splits elements into a *linear* group (R, C companion models, V/I
 sources) — collapsed into one constant matrix per ``(dt, integrator)``
 key — and a *nonlinear* FET group linearized per Newton iteration
 through batched :meth:`repro.devices.base.FETModel.linearize` calls (one
 per device-model instance) and scattered with precomputed index arrays.
 Systems below :data:`~repro.circuit.assembly.SPARSE_THRESHOLD` (128)
-unknowns reuse preallocated dense buffers; larger systems assemble
+unknowns assemble dense arrays; larger systems assemble
 ``scipy.sparse`` CSR Jacobians on one canonical sparsity pattern whose
 symbolic LU ordering is analyzed once and reused by every numeric
-refactorization.  The original
-element-walking evaluator survives as ``MNASystem.evaluate_dense`` — the
-reference the equivalence test suite holds the compiled path to (1e-12)
-and the fallback for user-defined element types.
+refactorization.  The original element-walking evaluator survives as
+``MNASystem.evaluate_dense`` — the reference the equivalence test
+suite holds the compiled path to (1e-12).
+
+One Newton driver and one time-march loop serve every analysis.
+:func:`repro.circuit.solver.newton_rows` iterates a stack of rows with
+per-row damping and convergence; the scalar ``newton_solve`` is that
+driver on a batch of one, and the sweep engines run it over all
+instances.  :func:`repro.circuit.transient.march` steps a stack of
+solved t=0 rows in lockstep with the trapezoidal companion history as
+an ``(m, n_caps)`` array; ``transient()`` marches a stack of one and
+raises on a failed rescue, the transient Monte Carlo engine marches
+every instance and flags the ones it had to rescue.
 
 Many-instance work goes through the batched sweep engine
 (:mod:`repro.circuit.sweep`): :class:`SweepPlan` chunks any
@@ -38,10 +48,9 @@ Jacobians — dense ``(m, size, size)`` stacks through one batched
 LAPACK Newton step, sparse plans as ``(m, nnz)`` CSR data stacks
 factorized per instance against the plan's shared symbolic ordering —
 with one batched ``linearize`` call per device group either way; and
-:class:`CircuitTransientMC` extends
-the same batched Newton through time-stepping — N instances marched in
-lockstep over one shared ``(dt, integrator)`` grid, with per-instance
-scalar fallback for instances that fail a step — the substrate for the
+:class:`CircuitTransientMC` marches N instances in lockstep over one
+shared ``(dt, integrator)`` grid, rescuing an instance that fails a
+step through the scalar continuation ladder — the substrate for the
 paper's variability/yield statistics and delay/energy distributions.
 Waveforms are bitwise invariant to chunk size, instance order, and
 serial vs. process-pool execution.

@@ -308,7 +308,7 @@ def _dense_capacitance(circuit: Circuit, system: MNASystem) -> np.ndarray:
     Compiled analyses use the pattern-aligned
     :meth:`~repro.circuit.assembly.StampPlan.capacitance_stamp`; this
     O(size^2) dense loop survives for the pinned ``method="legacy"``
-    path and for circuits the stamp plan cannot compile.
+    path.
     """
     size = system.size
     capacitance = np.zeros((size, size))
@@ -349,10 +349,6 @@ class ACPlan:
     backsubstitution (:func:`_sweep_schur`) — O(size^2) per frequency;
     above it, per-frequency complex refactorization against the plan's
     cached symbolic ordering.
-
-    Circuits the stamp plan cannot compile fall back to the densified
-    evaluator Jacobian and the element-walk capacitance build, swept
-    through the same Schur path.
     """
 
     def __init__(self, circuit: Circuit, source_name: str):
@@ -363,7 +359,7 @@ class ACPlan:
         plan = self.system._plan
         x_dc, conductance = operating_point(self.system)
         self.x_dc = x_dc
-        self._schedule = plan.sparse_schedule if plan is not None else None
+        self._schedule = plan.sparse_schedule
         if sparse.issparse(conductance):
             # Canonical-pattern data vectors: G + jwC is elementwise.
             self._conductance_data: np.ndarray | None = np.asarray(conductance.data)
@@ -374,11 +370,7 @@ class ACPlan:
             self._conductance = np.asarray(conductance)
             self._conductance_data = None
             self._capacitance_data = None
-            self._capacitance = (
-                plan.capacitance_stamp()
-                if plan is not None
-                else _dense_capacitance(circuit, self.system)
-            )
+            self._capacitance = plan.capacitance_stamp()
         rhs = np.zeros(self.size)
         rhs[self.source.branch_index] = 1.0
         self.rhs = rhs
@@ -459,13 +451,10 @@ def ac_analysis(
     system = circuit.build_system()
     x_dc = solve_dc(system)
     _, conductance = system.evaluate(x_dc)
-    # Detach from the evaluator's reused buffer; densify CSR Jacobians of
-    # large systems (the per-frequency solves below are dense-complex).
-    conductance = (
-        conductance.toarray()
-        if hasattr(conductance, "toarray")
-        else np.array(conductance)
-    )
+    # Densify CSR Jacobians of large systems (the per-frequency solves
+    # below are dense-complex).
+    if hasattr(conductance, "toarray"):
+        conductance = conductance.toarray()
     capacitance = _dense_capacitance(circuit, system)
     rhs = np.zeros(system.size)
     rhs[_find_source(circuit, source_name).branch_index] = 1.0

@@ -10,7 +10,7 @@ compiles a :class:`StampPlan` once per :meth:`Circuit.build_system`:
   conductances) collapse into one constant matrix ``A`` assembled a
   single time and cached per ``(dt, integrator)`` key, so the linear
   residual is a matrix-vector product ``A @ x`` and the linear Jacobian
-  block is a buffer copy.
+  block is a copy of it.
 * **Right-hand-side terms** (source waveform levels, capacitor history)
   are gathered through precomputed index arrays each call.
 * **Nonlinear FETs** are grouped by device-model instance and
@@ -27,7 +27,7 @@ compiles a :class:`StampPlan` once per :meth:`Circuit.build_system`:
   Newton step refactorizes only numerically against it — this is also
   what lets the sweep engines stack N instances' CSR ``data`` arrays
   as ``(m, nnz)`` and batch sparse Monte Carlo.  Smaller systems — all
-  the seed circuits — reuse preallocated dense buffers.
+  the seed circuits — assemble dense arrays.
 * **Stacked evaluation has one kernel**, :meth:`StampPlan.evaluate_stack`,
   with optional per-row companion state and per-instance FET variation;
   the solver's line search (:meth:`StampPlan.evaluate_many`) and the
@@ -36,10 +36,6 @@ compiles a :class:`StampPlan` once per :meth:`Circuit.build_system`:
 The compiled path is numerically equivalent to the reference path (same
 stamps, same finite-difference linearization arithmetic); the test suite
 asserts residual/Jacobian agreement to 1e-12 on representative circuits.
-
-Buffer-reuse contract: in dense mode :meth:`StampPlan.evaluate` returns
-views of preallocated buffers that are overwritten by the next call —
-copy them if you need to keep results across evaluations.
 """
 
 from __future__ import annotations
@@ -61,7 +57,7 @@ from repro.devices.base import PType
 __all__ = ["StampPlan", "UnsupportedElement", "SPARSE_THRESHOLD"]
 
 # Unknown-count at which assembly (and the Newton solve) switch from
-# preallocated dense buffers to scipy.sparse CSR matrices.
+# dense arrays to scipy.sparse CSR matrices.
 SPARSE_THRESHOLD = 128
 
 # Diagonal regularization applied before any factorization — shared
@@ -556,12 +552,6 @@ class StampPlan:
         # -- per-call buffers ---------------------------------------------------
         self._xpad = np.zeros(size + 1)
         self._prevpad = np.zeros(size + 1)
-        self._rpad = np.zeros(size + 1)
-        if self.use_sparse:
-            self._jac = self._jac_flat = None
-        else:
-            self._jac = np.zeros((size, size))
-            self._jac_flat = self._jac.ravel()
         self._lin_cache: dict[object, _LinearSystem] = {}
         self._cap_stamp: np.ndarray | None = None
 
@@ -678,27 +668,28 @@ class StampPlan:
         dt_s: float | None = None,
         previous_x: np.ndarray | None = None,
         integrator: str = "trapezoidal",
-        state: dict | None = None,
+        history: np.ndarray | None = None,
         source_scale: float = 1.0,
         gmin: float = 0.0,
         gmin_ref: np.ndarray | None = None,
     ):
         """Residual F(x) and Jacobian dF/dx via the compiled plan.
 
-        Dense mode returns views of reused buffers; sparse mode returns a
-        fresh ``scipy.sparse`` CSR Jacobian and a reused residual view.
-        ``gmin`` adds a shunt conductance from every node to ground;
-        with ``gmin_ref`` the shunt anchors at that reference vector
-        instead — the pseudo-transient continuation stamp
-        ``gmin * (x - gmin_ref)`` (the Jacobian term is identical).
+        Returns a fresh residual and a fresh Jacobian: a dense array, or
+        a ``scipy.sparse`` CSR matrix on the canonical pattern in sparse
+        mode.  ``history`` holds the trapezoidal companion currents in
+        ``cap_names`` order (zero when None).  ``gmin`` adds a shunt
+        conductance from every node to ground; with ``gmin_ref`` the
+        shunt anchors at that reference vector instead — the
+        pseudo-transient continuation stamp ``gmin * (x - gmin_ref)``
+        (the Jacobian term is identical).
         """
         size = self.size
         xpad = self._xpad
         xpad[:size] = x
         linear = self._linear_system(dt_s, integrator)
 
-        rpad = self._rpad
-        rpad[:] = 0.0
+        rpad = np.zeros(size + 1)
         residual = rpad[:size]
         residual += linear.matrix @ x
 
@@ -715,7 +706,6 @@ class StampPlan:
         if dt_s is not None and self.cap_c.size:
             prevpad = self._prevpad
             prevpad[:size] = x if previous_x is None else previous_x
-            history = self.cap_state_array(state) if state else None
             rhs = self.cap_history_rhs(prevpad, linear.cap_geq, integrator, history)
             cap_vals = self._cap_vals
             cap_vals[: rhs.size] = rhs
@@ -733,9 +723,8 @@ class StampPlan:
                 data[schedule.node_diag_pos] += gmin
             jacobian = schedule.matrix(data)
         else:
-            jacobian = self._jac
-            np.copyto(jacobian, linear.matrix)
-            jac_flat = self._jac_flat
+            jacobian = linear.matrix.copy()
+            jac_flat = jacobian.reshape(-1)
             for group in self.fet_groups:
                 if group.use_points:
                     group.stamp_points(xpad, rpad, jac_flat)
@@ -760,7 +749,7 @@ class StampPlan:
         dt_s: float | None = None,
         previous_x: np.ndarray | None = None,
         integrator: str = "trapezoidal",
-        state: dict | None = None,
+        history: np.ndarray | None = None,
         source_scale: float = 1.0,
         gmin: float = 0.0,
         gmin_ref: np.ndarray | None = None,
@@ -768,18 +757,15 @@ class StampPlan:
         """Residuals and Jacobians at a stack of iterates sharing one
         :meth:`evaluate` context (same keywords).
 
-        The batched line-search entry: :func:`repro.circuit.solver.
-        newton_solve` evaluates a whole damping ladder of trial points
-        in one call, so each FET group costs one ``linearize`` over all
-        trials instead of one per trial.  An adapter over
-        :meth:`evaluate_stack`; the Newton solver calls it on dense
-        plans only.
+        The line-search entry of :func:`repro.circuit.solver.newton_solve`:
+        a damping ladder of trial points costs one ``linearize`` per FET
+        group instead of one per trial.  An adapter over
+        :meth:`evaluate_stack`.
         """
         prevpad = None
         if previous_x is not None:
             prevpad = np.zeros(self.size + 1)
             prevpad[: self.size] = previous_x
-        history = self.cap_state_array(state) if state else None
         return self.evaluate_stack(
             np.asarray(x_stack, dtype=float), time_s, dt_s, integrator,
             prevpad, history, source_scale, gmin, gmin_ref,
@@ -895,94 +881,84 @@ class StampPlan:
                 diag[:, :n_nodes] += gmin
         return residual, jac
 
-    def sparse_newton_step(
-        self, jacobian: sparse.csr_matrix, residual: np.ndarray
-    ) -> np.ndarray | None:
-        """Newton step ``J^-1 (-residual)`` for a canonical-pattern CSR
-        Jacobian (as returned by :meth:`evaluate` in sparse mode).
+    def solve_stack(self, jacobians: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Newton steps ``J_i^-1 rhs_i`` for a private stack of Jacobians.
 
-        Numeric-only refactorization against the schedule's one-time
-        symbolic ordering, with the solver's diagonal regularization
-        applied to a copy of the data.  Returns None when the matrix
-        is singular or the solve is non-finite.
+        The one step solve of the Newton driver, whatever the batch
+        size.  ``jacobians`` is a ``(k, size, size)`` dense stack or a
+        ``(k, nnz)`` canonical-pattern data stack; it gets the diagonal
+        regularization in place.  Dense stacks go through one batched
+        ``np.linalg.solve``, row by row only when LAPACK reports a
+        singular member; sparse rows refactorize numerically against
+        the schedule's one symbolic ordering.  Each row's arithmetic is
+        the same however many rows the stack holds.  Rows whose matrix
+        is singular come back NaN.
         """
-        data = jacobian.data.copy()
-        data[self.sparse_schedule.diag_pos] += DIAG_REGULARIZATION
-        solve = self.sparse_schedule.factor(data)
-        if solve is None:
-            return None
-        step = solve(-residual)
-        return step if np.all(np.isfinite(step)) else None
+        if self.use_sparse:
+            schedule = self.sparse_schedule
+            jacobians[:, schedule.diag_pos] += DIAG_REGULARIZATION
+            steps = np.full_like(rhs, np.nan)
+            for i in range(jacobians.shape[0]):
+                solve = schedule.factor(jacobians[i])
+                if solve is not None:
+                    steps[i] = solve(rhs[i])
+            return steps
+        diagonal = np.einsum("ijj->ij", jacobians)
+        diagonal += DIAG_REGULARIZATION
+        try:
+            # RHS as (k, size, 1) column matrices: the batched-solve
+            # gufunc otherwise misreads a (k, size) stack as one matrix.
+            return np.linalg.solve(jacobians, rhs[:, :, None])[..., 0]
+        except np.linalg.LinAlgError:
+            steps = np.full_like(rhs, np.nan)
+            for i in range(jacobians.shape[0]):
+                try:
+                    steps[i] = np.linalg.solve(jacobians[i], rhs[i])
+                except np.linalg.LinAlgError:
+                    pass
+            return steps
 
     # -- transient support ----------------------------------------------------------
-    def cap_state_array(self, state: dict | None) -> np.ndarray:
-        """Capacitor history currents as an array in ``cap_names`` order."""
-        if not state:
-            return np.zeros(len(self.cap_names))
-        return np.array([state.get(name, 0.0) for name in self.cap_names])
-
     def cap_history_rhs(
         self,
         prevpad: np.ndarray,
         cap_geq: np.ndarray,
         integrator: str,
-        state_currents: np.ndarray | None = None,
+        history: np.ndarray | None = None,
     ) -> np.ndarray:
         """Companion-model history RHS per capacitor: ``-geq v_prev - i_prev``.
 
         Batchable: ``prevpad`` is a padded previous-solution stack of
         shape ``(..., size + 1)`` (ground in the trailing slot) and
-        ``state_currents`` — the trapezoidal history currents, ignored
-        under backward Euler — broadcasts as ``(..., n_caps)``.  The
-        scalar :meth:`evaluate` path and the batched sweep engine share
-        this arithmetic, so their residuals agree bitwise.
+        ``history`` — the trapezoidal companion currents, ignored under
+        backward Euler — broadcasts as ``(..., n_caps)``.  The scalar
+        :meth:`evaluate` path and the stacked kernel share this
+        arithmetic, so their residuals agree bitwise.
         """
         v_prev = prevpad[..., self.cap_p] - prevpad[..., self.cap_n]
         rhs = -cap_geq * v_prev
-        if integrator != "backward-euler" and state_currents is not None:
-            rhs = rhs - state_currents
+        if integrator != "backward-euler" and history is not None:
+            rhs = rhs - history
         return rhs
 
-    def cap_state_update(
+    def cap_history_update(
         self,
         xpad: np.ndarray,
         prevpad: np.ndarray,
         dt_s: float,
         integrator: str,
-        state_currents: np.ndarray | None = None,
+        history: np.ndarray,
     ) -> np.ndarray:
-        """New history currents at an accepted solution (batchable).
+        """Companion currents at an accepted step (batchable).
 
         ``xpad``/``prevpad`` are padded solution stacks ``(..., size +
-        1)``; returns ``(..., n_caps)`` trapezoidal (or backward-Euler)
-        capacitor currents.  The scalar per-step update and the batched
-        transient engine both route through this method.
+        1)`` and ``history`` the ``(..., n_caps)`` currents of the
+        previous step; returns the trapezoidal (or backward-Euler)
+        capacitor currents at ``xpad``.
         """
         v_now = xpad[..., self.cap_p] - xpad[..., self.cap_n]
         v_prev = prevpad[..., self.cap_p] - prevpad[..., self.cap_n]
         if integrator == "backward-euler":
             return self.cap_c / dt_s * (v_now - v_prev)
         geq = 2.0 * self.cap_c / dt_s
-        i_prev = 0.0 if state_currents is None else state_currents
-        return geq * (v_now - v_prev) - i_prev
-
-    def update_capacitor_state(
-        self,
-        x: np.ndarray,
-        previous_x: np.ndarray,
-        dt_s: float,
-        integrator: str,
-        state: dict,
-    ) -> None:
-        """Vectorised trapezoidal/backward-Euler history update (in place)."""
-        if not self.cap_c.size:
-            return
-        size = self.size
-        xpad = self._xpad
-        xpad[:size] = x
-        prevpad = self._prevpad
-        prevpad[:size] = previous_x
-        i_prev = self.cap_state_array(state) if integrator != "backward-euler" else None
-        i_new = self.cap_state_update(xpad, prevpad, dt_s, integrator, i_prev)
-        for name, value in zip(self.cap_names, i_new):
-            state[name] = float(value)
+        return geq * (v_now - v_prev) - history

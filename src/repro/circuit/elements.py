@@ -48,8 +48,9 @@ class StampContext:
     ``voltage(node)`` reads the present Newton iterate; ``add_current``
     accumulates KCL residuals ("current leaving the node is positive");
     ``add_jacobian`` accumulates d(residual row)/d(unknown column).
-    Transient analyses provide ``time_s``, ``dt_s`` and per-element
-    ``state`` dictionaries (charge history for reactive elements).
+    Transient analyses provide ``time_s``, ``dt_s`` and ``state``, the
+    trapezoidal companion currents by capacitor name (the reference
+    evaluator's view of the plan's history array).
     """
 
     system: object
@@ -153,7 +154,11 @@ class Capacitor(Element):
         ctx.add_jacobian(self.n, in_, geq)
 
     def update_state(self, ctx: StampContext) -> float:
-        """Capacitor current at the accepted solution (trapezoidal history)."""
+        """Capacitor current at the accepted solution (trapezoidal history).
+
+        The element-level reference of
+        :meth:`repro.circuit.assembly.StampPlan.cap_history_update`.
+        """
         v_now = ctx.voltage(self.p) - ctx.voltage(self.n)
         v_prev = ctx.voltage(self.p, ctx.previous_x) - ctx.voltage(self.n, ctx.previous_x)
         if ctx.integrator == "backward-euler":

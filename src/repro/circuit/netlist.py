@@ -6,24 +6,23 @@ voltage source a branch-current index after the nodes.  Analyses
 (:mod:`repro.circuit.dc`, :mod:`repro.circuit.transient`) consume the
 assembled system through :meth:`Circuit.build_system`.
 
-:meth:`MNASystem.evaluate` runs on the compiled stamp plan of
-:mod:`repro.circuit.assembly` (constant linear matrix assembled once,
-batched FET linearization, ``np.add.at`` scatter; above
+:meth:`Circuit.build_system` compiles every system onto the stamp plan
+of :mod:`repro.circuit.assembly` (constant linear matrix assembled
+once, batched FET linearization, ``np.add.at`` scatter; above
 :data:`~repro.circuit.assembly.SPARSE_THRESHOLD` unknowns, CSR
 Jacobians on one canonical sparsity pattern whose symbolic LU ordering
-is computed once and shared by every Newton refactorization — scalar
-solves and the batched sweep engines alike).  The original
-element-walking evaluator is retained as :meth:`MNASystem.evaluate_dense`
-— the reference implementation the equivalence tests compare against,
-and the fallback for circuits containing element types the plan cannot
-compile.
+is computed once and shared by every Newton refactorization) and
+raises :class:`~repro.circuit.assembly.UnsupportedElement` for element
+types the plan does not know.  The original element-walking evaluator
+is retained as :meth:`MNASystem.evaluate_dense` — the reference
+implementation the equivalence tests compare against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.circuit.assembly import StampPlan, UnsupportedElement
+from repro.circuit.assembly import StampPlan
 from repro.circuit.elements import (
     FET,
     Capacitor,
@@ -110,6 +109,11 @@ class Circuit:
             raise CircuitError(f"unknown node {node!r}") from None
 
     def build_system(self) -> "MNASystem":
+        """Lay out the unknowns and compile the stamp plan.
+
+        Raises :class:`~repro.circuit.assembly.UnsupportedElement` when
+        an element type has no compiled stamp.
+        """
         if not self.elements:
             raise CircuitError("empty circuit")
         if not self._node_order:
@@ -126,43 +130,24 @@ class Circuit:
 class MNASystem:
     """Assembled residual/Jacobian evaluator for a circuit.
 
-    Evaluation runs through a :class:`~repro.circuit.assembly.StampPlan`
-    compiled at construction; circuits containing element types the plan
-    does not know fall back to the reference evaluator.  In the compiled
-    dense mode, :meth:`evaluate` returns views of buffers reused by the
-    next call — copy them if results must outlive the next evaluation.
+    ``evaluate(x, **kwargs)`` is the compiled
+    :meth:`~repro.circuit.assembly.StampPlan.evaluate` (bound at
+    construction, one less Python frame on the hottest call in the
+    package).  Its Jacobian is a dense ndarray for small systems and,
+    at or above :data:`~repro.circuit.assembly.SPARSE_THRESHOLD`
+    unknowns, a ``scipy.sparse`` CSR matrix on the plan's canonical
+    sparsity pattern.  Every call returns fresh arrays.
     """
 
     def __init__(self, circuit: Circuit):
         self.circuit = circuit
         self.size = circuit.size
         self.n_nodes = len(circuit.node_names)
-        try:
-            self._plan: StampPlan | None = StampPlan(self)
-        except UnsupportedElement:
-            self._plan = None
-        if self._plan is not None:
-            # Shadow the dispatching method with the plan's bound evaluator:
-            # one less Python frame on the hottest call in the package.
-            self.evaluate = self._plan.evaluate
+        self._plan = StampPlan(self)
+        self.evaluate = self._plan.evaluate
 
     def node_index(self, node: str) -> int | None:
         return self.circuit.node_index(node)
-
-    def evaluate(self, x: np.ndarray, **kwargs) -> tuple[np.ndarray, np.ndarray]:
-        """Residual F(x) and Jacobian dF/dx at the iterate ``x``.
-
-        Accepts the keyword arguments of :meth:`evaluate_dense`.  On
-        instances whose circuit compiled, ``__init__`` rebinds this name
-        to :meth:`StampPlan.evaluate` (same signature), whose Jacobian is
-        a dense ndarray for small systems and, at or above
-        :data:`~repro.circuit.assembly.SPARSE_THRESHOLD` unknowns, a
-        ``scipy.sparse`` CSR matrix on the plan's canonical sparsity
-        pattern (fixed ``indices``/``indptr``, fresh ``data``) so
-        factorizations can reuse the plan's cached symbolic analysis;
-        this body only runs for circuits the plan cannot compile.
-        """
-        return self.evaluate_dense(x, **kwargs)
 
     def evaluate_dense(
         self,
@@ -171,16 +156,18 @@ class MNASystem:
         dt_s: float | None = None,
         previous_x: np.ndarray | None = None,
         integrator: str = "trapezoidal",
-        state: dict | None = None,
+        history: np.ndarray | None = None,
         source_scale: float = 1.0,
         gmin: float = 0.0,
         gmin_ref: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Reference element-walking evaluator (always fresh dense arrays).
 
-        ``gmin``/``gmin_ref`` stamp the same node shunt (optionally
-        anchored at a reference vector for pseudo-transient
-        continuation) as the compiled plan.
+        Takes the keywords of the compiled evaluator: ``history`` holds
+        the trapezoidal companion currents in the plan's ``cap_names``
+        order, and ``gmin``/``gmin_ref`` stamp the same node shunt
+        (optionally anchored at a reference vector for pseudo-transient
+        continuation).
         """
         residual = np.zeros(self.size)
         jacobian = np.zeros((self.size, self.size))
@@ -193,7 +180,9 @@ class MNASystem:
             dt_s=dt_s,
             previous_x=previous_x if previous_x is not None else x,
             integrator=integrator,
-            state=state if state is not None else {},
+            state=(
+                {} if history is None else dict(zip(self._plan.cap_names, history))
+            ),
             source_scale=source_scale,
             gmin=gmin,
         )
@@ -205,32 +194,6 @@ class MNASystem:
                 residual[i] += gmin * (x[i] - anchor)
                 jacobian[i, i] += gmin
         return residual, jacobian
-
-    def update_capacitor_state(
-        self,
-        x: np.ndarray,
-        previous_x: np.ndarray,
-        dt_s: float,
-        integrator: str,
-        state: dict,
-    ) -> None:
-        """Refresh capacitor history currents at an accepted solution."""
-        if self._plan is not None:
-            self._plan.update_capacitor_state(x, previous_x, dt_s, integrator, state)
-            return
-        ctx = StampContext(
-            system=self,
-            x=x,
-            residual=None,
-            jacobian=None,
-            dt_s=dt_s,
-            previous_x=previous_x,
-            integrator=integrator,
-            state=state,
-        )
-        for element in self.circuit.elements:
-            if isinstance(element, Capacitor):
-                state[element.name] = element.update_state(ctx)
 
     def voltage_of(self, x: np.ndarray, node: str) -> float:
         idx = self.node_index(node)

@@ -1,10 +1,30 @@
-"""Damped Newton solver for MNA systems.
+"""Damped Newton for MNA systems: one row-masked driver.
 
-The solver attacks F(x) = 0 with Newton iterations and a backtracking
-line search on the residual norm.  Convergence is a single
-relative+absolute test on the max-norm residual — the same criterion at
-the main exit, on step stall and at iteration exhaustion, so
+:func:`newton_rows` is the package's only Newton loop.  It iterates a
+stack of ``m`` independent systems at once: each row has its own
+residual norm, convergence test, backtracking damping and stall exit,
+and leaves the active set as soon as it converges or stalls, so late
+iterations only pay for the stragglers.  Convergence is a single
+relative+absolute test on the max-norm residual — the same criterion
+at the main exit, on step stall and at iteration exhaustion, so
 "converged" means one thing everywhere.
+
+Two adapters feed it:
+
+* :func:`newton_solve` — the scalar solve, a batch of one.  Single
+  rows evaluate through :meth:`~repro.circuit.assembly.StampPlan.evaluate`;
+  the damping ladder of a rejected full step goes through
+  :meth:`~repro.circuit.assembly.StampPlan.evaluate_many` in batches of
+  ``_TRIAL_BATCH`` trials (one device ``linearize`` per batch instead of
+  one per trial).  Linear-only circuits reuse the plan's cached LU of
+  the constant matrix (:meth:`~repro.circuit.assembly.StampPlan.linear_step`).
+* ``_BatchedNewtonEngine._newton_batch`` in :mod:`repro.circuit.sweep`
+  — the Monte Carlo engines' solve over perturbed instances.
+
+Every other Newton step goes through the plan's one stacked step solve,
+:meth:`~repro.circuit.assembly.StampPlan.solve_stack`, whose per-row
+arithmetic does not depend on how many rows are still active: that is
+what keeps batched results bitwise invariant to chunking and order.
 
 Cold-start robustness lives in :mod:`repro.circuit.continuation`:
 :func:`solve_dc` delegates to its adaptive ladder (structural seeding,
@@ -12,123 +32,144 @@ adaptive gmin stepping, adaptive source ramping, pseudo-transient
 continuation) and raises a diagnostics-carrying
 :class:`~repro.circuit.continuation.ConvergenceError` when the ladder
 is exhausted.
-
-Linear algebra adapts to what the compiled stamp plan hands back: small
-systems solve dense with an in-place diagonal regularization (no
-per-iteration ``np.eye`` allocation), large systems arrive as
-``scipy.sparse`` CSR matrices on the plan's canonical pattern and
-refactorize numerically against the plan's one-time symbolic ordering
-(:meth:`~repro.circuit.assembly.StampPlan.sparse_newton_step`).  Circuits
-with no nonlinear devices skip refactorization entirely — the constant
-linear matrix is LU-factorized once per ``(dt, integrator)`` key by the
-stamp plan and every Newton step reuses the cached factors.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 from scipy import sparse
-from scipy.linalg.lapack import dgesv
-from scipy.sparse.linalg import splu
 
-from repro.circuit.assembly import DIAG_REGULARIZATION as _DIAG_REGULARIZATION
 from repro.circuit.netlist import MNASystem
 
-__all__ = ["newton_solve", "solve_dc", "operating_point"]
+__all__ = ["NewtonResult", "newton_rows", "newton_solve", "solve_dc", "operating_point"]
 
 _MAX_ITERATIONS = 120
 _RESIDUAL_ATOL = 1e-10
 _RESIDUAL_RTOL = 1e-9
 _STEP_TOL = 1e-10
-# Damping candidates evaluated per batched line-search call once the
-# full step is rejected (total trial budget stays at 30, as before).
+# Trial points per evaluation call once a full step is rejected: a
+# lone pending row evaluates this many dampings at once, a crowd of
+# pending rows one each (the total ladder stays _MAX_TRIALS per row).
 _TRIAL_BATCH = 8
 _MAX_TRIALS = 30
 
 
-def _newton_step(jacobian, residual, reg_identity, sparse_step=None) -> np.ndarray | None:
-    """Solve J step = -residual with a tiny diagonal regularization.
+class NewtonResult(NamedTuple):
+    """Per-row outcome of :func:`newton_rows`."""
 
-    Dense Jacobians get the regularization added to their diagonal in
-    place — safe because the evaluation buffer is fully reassembled by
-    the next ``evaluate`` call — avoiding the per-iteration ``np.eye``
-    allocation of the original implementation.  Sparse Jacobians from a
-    compiled plan route through ``sparse_step``
-    (:meth:`~repro.circuit.assembly.StampPlan.sparse_newton_step`), so
-    the symbolic ordering is computed once and only the numeric
-    factorization repeats per iteration; plan-less sparse Jacobians
-    fall back to a full per-call splu.  Returns None on a singular
-    matrix.
+    x: np.ndarray
+    converged: np.ndarray
+    iterations: np.ndarray
+    norm: np.ndarray
+
+
+def newton_rows(evaluate, solve, x0: np.ndarray, max_iterations: int = _MAX_ITERATIONS):
+    """Damped Newton on every row of ``x0`` at once.
+
+    ``evaluate(x_rows, rows)`` returns the residuals ``(k, n)`` and
+    Jacobians (a ``(k, ...)`` stack) at iterates ``x_rows`` of the rows
+    ``rows`` (indices into ``x0``, possibly repeated); the arrays must be
+    the caller's to keep.  ``solve(jacobians, rhs)`` returns the steps
+    ``(k, n)`` and may overwrite ``jacobians``; a row whose matrix is
+    singular comes back non-finite.  Such rows, and rows whose line
+    search finds no residual decrease within ``_MAX_TRIALS`` halvings,
+    stop unconverged.  Returns a :class:`NewtonResult` whose
+    ``iterations`` counts each row's Newton steps and ``norm`` its final
+    residual.
     """
-    if sparse.issparse(jacobian):
-        if sparse_step is not None:
-            return sparse_step(jacobian, residual)
-        try:
-            return splu((jacobian + reg_identity).tocsc()).solve(-residual)
-        except RuntimeError:
-            return None
-    diagonal = np.einsum("ii->i", jacobian)
-    diagonal += _DIAG_REGULARIZATION
-    # Same LAPACK dgesv as np.linalg.solve, minus the wrapper overhead;
-    # -residual is a fresh temporary, so LAPACK may solve into it.
-    _, _, step, info = dgesv(jacobian, -residual, overwrite_b=True)
-    return step if info == 0 else None
+    x = np.array(x0, dtype=float)
+    m = x.shape[0]
+    residual, jacobian = evaluate(x, np.arange(m))
+    norm = np.abs(residual).max(axis=1)
+    tolerance = _RESIDUAL_ATOL + _RESIDUAL_RTOL * norm
+    iterations = np.zeros(m, dtype=np.intp)
 
+    # The working set: the active rows' state, compacted.  A row's
+    # final iterate, norm and step count go back into x, norm and
+    # iterations when it leaves.
+    rows = (norm > tolerance).nonzero()[0]
+    if not rows.size:
+        return NewtonResult(x, norm <= tolerance, iterations, norm)
+    x_a, r_a, j_a, n_a, t_a = x, residual, jacobian, norm, tolerance
+    if rows.size < m:
+        x_a, r_a, j_a, n_a, t_a = (a[rows] for a in (x, residual, jacobian, norm, tolerance))
+    count = 0
+    while rows.size and count < max_iterations:
+        step = solve(j_a, -r_a)
+        finite = np.isfinite(step)
+        if np.count_nonzero(finite) < finite.size:
+            bad = ~finite.all(axis=1)
+            gone = rows[bad]
+            x[gone], norm[gone], iterations[gone] = x_a[bad], n_a[bad], count
+            if bad.all():
+                break
+            rows, x_a, n_a, t_a, step = (a[~bad] for a in (rows, x_a, n_a, t_a, step))
+        count += 1
 
-def _line_search(
-    system, plan_many, x, step, norm, tolerance, source_scale, gmin, eval_kwargs
-):
-    """First acceptable damped trial along ``step``; None if there is none.
+        # Backtracking line search with per-row damping: the full step
+        # first, then halvings until the residual norm drops.  A row
+        # takes the first damping the sequential ladder would accept.
+        x_t = x_a + step
+        r_t, j_t = evaluate(x_t, rows)
+        n_t = np.abs(r_t).max(axis=1)
+        done = n_t <= t_a
+        ok = done | (n_t < n_a)
+        moved = step
+        if np.count_nonzero(ok) < ok.size:
+            damping = np.where(ok, 1.0, 0.5)
+            pending = (~ok).nonzero()[0]
+            trials = 1
+            while pending.size and trials < _MAX_TRIALS:
+                width = min(max(1, _TRIAL_BATCH // pending.size), _MAX_TRIALS - trials)
+                local = np.repeat(pending, width)
+                scales = damping[local]
+                if width > 1:
+                    scales *= np.tile(0.5 ** np.arange(width), pending.size)
+                x_l = x_a[local] + scales[:, None] * step[local]
+                r_l, j_l = evaluate(x_l, rows[local])
+                n_l = np.abs(r_l).max(axis=1)
+                hits = ((n_l < n_a[local]) | (n_l <= t_a[local])).reshape(-1, width)
+                hit = hits.any(axis=1)
+                if hit.any():
+                    pick = hit.nonzero()[0] * width + hits[hit].argmax(axis=1)
+                    took = pending[hit]
+                    x_t[took], r_t[took], j_t[took], n_t[took] = (
+                        x_l[pick], r_l[pick], j_l[pick], n_l[pick]
+                    )
+                    damping[took] = scales[pick]
+                    ok[took] = True
+                pending = pending[~hit]
+                damping[pending] *= 0.5**width
+                trials += width
+            # A row the whole ladder rejected keeps its last iterate.
+            x_t[pending], n_t[pending] = x_a[pending], n_a[pending]
+            moved = damping[:, None] * step
+            done = n_t <= t_a
 
-    Trial 1 is the full step — evaluated alone because it is accepted
-    in the vast majority of iterations.  Once it is rejected, compiled
-    dense plans evaluate the rest of the damping ladder through
-    :meth:`~repro.circuit.assembly.StampPlan.evaluate_many` in batches
-    of ``_TRIAL_BATCH``: one batched device ``linearize`` per call
-    instead of one per trial, which is what makes backtracking cheap
-    for expensive (physical) device models.  Acceptance order and
-    criteria are identical to the sequential ladder.
-    """
-    x_trial = x + step
-    residual_trial, jacobian_trial = system.evaluate(
-        x_trial, source_scale=source_scale, gmin=gmin, **eval_kwargs
-    )
-    norm_trial = float(np.max(np.abs(residual_trial)))
-    if norm_trial < norm or norm_trial <= tolerance:
-        return x_trial, residual_trial, jacobian_trial, norm_trial, 1.0
-
-    if plan_many is None:
-        damping = 1.0
-        for _ in range(_MAX_TRIALS - 1):
-            damping *= 0.5
-            x_trial = x + damping * step
-            residual_trial, jacobian_trial = system.evaluate(
-                x_trial, source_scale=source_scale, gmin=gmin, **eval_kwargs
+        # Stay active only if the line search moved, the row has not
+        # converged, and its step has not stalled below _STEP_TOL.
+        stay = ok & ~done
+        kept = np.count_nonzero(stay)
+        if kept:
+            stay &= np.abs(moved).max(axis=1) >= _STEP_TOL
+            kept = np.count_nonzero(stay)
+        if not kept:
+            x[rows], norm[rows], iterations[rows] = x_t, n_t, count
+            break
+        if kept < rows.size:
+            leave = ~stay
+            gone = rows[leave]
+            x[gone], norm[gone], iterations[gone] = x_t[leave], n_t[leave], count
+            rows, x_t, r_t, j_t, n_t, t_a = (
+                a[stay] for a in (rows, x_t, r_t, j_t, n_t, t_a)
             )
-            norm_trial = float(np.max(np.abs(residual_trial)))
-            if norm_trial < norm or norm_trial <= tolerance:
-                return x_trial, residual_trial, jacobian_trial, norm_trial, damping
-        return None
-
-    dampings = 0.5 ** np.arange(1, _MAX_TRIALS)
-    for start in range(0, dampings.size, _TRIAL_BATCH):
-        batch = dampings[start : start + _TRIAL_BATCH]
-        x_trials = x[None, :] + batch[:, None] * step[None, :]
-        residuals, jacobians = plan_many(
-            x_trials, source_scale=source_scale, gmin=gmin, **eval_kwargs
-        )
-        norms = np.max(np.abs(residuals), axis=1)
-        hits = np.flatnonzero((norms < norm) | (norms <= tolerance))
-        if hits.size:
-            j = int(hits[0])
-            return (
-                x_trials[j],
-                residuals[j],
-                jacobians[j],
-                float(norms[j]),
-                float(batch[j]),
-            )
-    return None
+        x_a, r_a, j_a, n_a = x_t, r_t, j_t, n_t
+    else:
+        # Out of iterations.
+        x[rows], norm[rows], iterations[rows] = x_a, n_a, count
+    return NewtonResult(x, norm <= tolerance, iterations, norm)
 
 
 def newton_solve(
@@ -143,66 +184,38 @@ def newton_solve(
 ) -> tuple[np.ndarray, bool]:
     """Damped Newton from ``x0``; returns (solution, converged).
 
-    Converged means ``norm <= _RESIDUAL_ATOL + _RESIDUAL_RTOL * norm0``
-    with ``norm0`` the residual at ``x0`` — evaluated identically at
-    every exit.  When ``report`` (a
+    :func:`newton_rows` on a batch of one.  Converged means ``norm <=
+    _RESIDUAL_ATOL + _RESIDUAL_RTOL * norm0`` with ``norm0`` the
+    residual at ``x0``.  When ``report`` (a
     :class:`~repro.circuit.continuation.ConvergenceReport`) is given,
     the attempt is recorded under ``stage``/``parameter`` with its
     iteration count and final residual.
     """
-    x = np.array(x0, dtype=float)
-    residual, jacobian = system.evaluate(
-        x, source_scale=source_scale, gmin=gmin, **eval_kwargs
-    )
-    norm = float(np.max(np.abs(residual)))
-    tolerance = _RESIDUAL_ATOL + _RESIDUAL_RTOL * norm
-    iterations = 0
+    plan = system._plan
+    kwargs = dict(eval_kwargs, source_scale=source_scale, gmin=gmin)
 
-    # Linear-only circuits reuse the plan's cached LU of the constant
-    # matrix instead of refactorizing the identical Jacobian every step.
-    plan = getattr(system, "_plan", None)
-    linear_plan = plan if plan is not None and plan.linear_only and gmin == 0.0 else None
-    # Dense compiled plans batch the backtracking ladder's bias points
-    # into one device call per _TRIAL_BATCH trials (see _line_search).
-    plan_many = (
-        plan.evaluate_many if plan is not None and not plan.use_sparse else None
-    )
-    # Sparse compiled plans refactorize numerically against the plan's
-    # one-time symbolic ordering instead of rebuilding a full splu
-    # (symbolic + numeric) every iteration.
-    sparse_step = (
-        plan.sparse_newton_step if plan is not None and plan.use_sparse else None
-    )
-    dt_s = eval_kwargs.get("dt_s")
-    integrator = eval_kwargs.get("integrator", "trapezoidal")
+    def evaluate(x_rows, rows):
+        if x_rows.shape[0] > 1:
+            return plan.evaluate_many(x_rows, **kwargs)
+        residual, jacobian = plan.evaluate(x_rows[0], **kwargs)
+        return residual[None], (jacobian.data if plan.use_sparse else jacobian)[None]
 
-    reg_identity = (
-        _DIAG_REGULARIZATION * sparse.identity(system.size, format="csr")
-        if sparse.issparse(jacobian)
-        else None
-    )
-    converged = norm <= tolerance
-    while not converged and iterations < _MAX_ITERATIONS:
-        if linear_plan is not None:
-            step = linear_plan.linear_step(residual, dt_s, integrator)
-        else:
-            step = _newton_step(jacobian, residual, reg_identity, sparse_step)
-        if step is None:
-            break
-        iterations += 1
-        accepted = _line_search(
-            system, plan_many, x, step, norm, tolerance, source_scale, gmin,
-            eval_kwargs,
+    def linear_solve(jacobians, rhs):
+        # Linear-only circuits reuse the plan's cached LU of the
+        # constant matrix instead of refactorizing it every step.
+        step = plan.linear_step(
+            -rhs[0], eval_kwargs.get("dt_s"), eval_kwargs.get("integrator", "trapezoidal")
         )
-        if accepted is None:
-            break  # line search could not reduce the residual
-        x, residual, jacobian, norm, damping = accepted
-        converged = norm <= tolerance
-        if float(np.max(np.abs(damping * step))) < _STEP_TOL:
-            break  # stalled; the unified test above has the last word
+        return np.full_like(rhs, np.nan) if step is None else step[None]
+
+    solve = linear_solve if plan.linear_only and gmin == 0.0 else plan.solve_stack
+    result = newton_rows(evaluate, solve, np.asarray(x0, dtype=float)[None])
+    converged = bool(result.converged[0])
     if report is not None:
-        report.record(stage, parameter, iterations, norm, converged)
-    return x, converged
+        report.record(
+            stage, parameter, int(result.iterations[0]), result.norm[0], converged
+        )
+    return result.x[0], converged
 
 
 def solve_dc(
@@ -235,14 +248,10 @@ def operating_point(
     the device protocol's ``linearize`` (analytic for models that
     provide derivatives, central differences with the model-owned step
     otherwise), so no caller ever re-derives them by finite
-    differences.  Dense compiled plans hand back a reused evaluation
-    buffer, so the dense result is copied; sparse plans return the
-    canonical-pattern CSR matrix, whose ``data`` vector is fresh per
-    evaluation.  This is the one linearization the compiled AC path
-    (:mod:`repro.circuit.ac`) performs per analysis.
+    differences.  Dense plans return an array, sparse plans the
+    canonical-pattern CSR matrix.  This is the one linearization the
+    compiled AC path (:mod:`repro.circuit.ac`) performs per analysis.
     """
     x = solve_dc(system, x0, **eval_kwargs)
     _, jacobian = system.evaluate(x)
-    if sparse.issparse(jacobian):
-        return x, jacobian
-    return x, np.array(jacobian)
+    return x, jacobian

@@ -22,25 +22,20 @@ compiled stamp plan already exposes.  Three layers fix that:
   below ``assembly.SPARSE_THRESHOLD``, CSR ``data`` stacks ``(m,
   nnz)`` on the plan's canonical sparse pattern above it — with every
   FET group's bias points across *all* instances batched into a
-  single ``linearize`` call.  Newton steps come from one batched
-  LAPACK ``np.linalg.solve`` (dense) or per-instance numeric
-  refactorizations against the plan's one-time symbolic ordering
-  (sparse; see :class:`repro.circuit.assembly._SparseSchedule`).
-  Per-instance device-parameter arrays (:class:`FETVariation`:
-  drive-strength scale and threshold shift) thread through the
-  batched path without touching the device models.
+  single ``linearize`` call.  The Newton iteration is the package's
+  one driver, :func:`repro.circuit.solver.newton_rows`, over
+  :meth:`_BatchedNewtonEngine._evaluate_batch` and the plan's stacked
+  step solve.  Per-instance device-parameter arrays
+  (:class:`FETVariation`: drive-strength scale and threshold shift)
+  thread through the batched path without touching the device models.
 * :class:`CircuitTransientMC` — the transient circuit engine.  It
-  marches all N instances through one shared ``(dt, integrator)`` time
-  grid in lockstep: capacitor companion state stacked ``(m, n_caps)``,
-  each per-step Newton iteration making one batched ``linearize`` call
-  and one batched LAPACK solve across the still-active instances, with
-  the per-instance damping/convergence criteria and the gmin rescue
-  ladder shared with :class:`CircuitMonteCarlo`.  An instance whose
-  time step fails batched Newton **falls back to the scalar
-  per-instance path individually** (re-integrated through
-  :func:`repro.circuit.transient.transient_samples` with explicitly
-  perturbed devices, continuation rescue included) instead of
-  poisoning the rest of the batch.
+  solves the t=0 operating points batched, then hands them to the
+  package's one time-march loop, :func:`repro.circuit.transient.march`,
+  with the batched Newton as the per-step solve.  An instance whose
+  time step fails batched Newton is rescued through the scalar
+  continuation ladder on its own perturbed circuit, flagged in
+  ``TransientMCResult.fallback``, and rejoins the lockstep batch
+  instead of poisoning it.
 
 Perturbation semantics: for a FET with unwrapped base model ``I_n`` and
 polarity sign ``s`` (see ``assembly._unwrap_polarity``), instance ``i``
@@ -49,7 +44,7 @@ a multiplicative drive variation (tube count / mobility) plus a shift
 of the underlying n-type threshold, both of which preserve the shared
 sparsity structure and the batched linearize call.  The scalar
 reference of those semantics is :class:`ScaledShiftedFET` /
-:func:`perturbed_circuit`, used by the per-instance fallbacks and the
+:func:`perturbed_circuit`, used by the per-instance rescues and the
 equivalence test suite.
 
 Determinism contract: every batched arithmetic step is elementwise per
@@ -72,11 +67,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.circuit.assembly import (
-    DIAG_REGULARIZATION,
-    UnsupportedElement,
-    _unwrap_polarity,
-)
+from repro.circuit.assembly import UnsupportedElement, _unwrap_polarity
 from repro.circuit.continuation import (
     solve_dc_robust,
     structural_seed,
@@ -96,15 +87,10 @@ from repro.circuit.resilience import (
     fingerprint,
     run_supervised,
 )
-from repro.circuit.solver import (
-    _MAX_ITERATIONS,
-    _RESIDUAL_ATOL,
-    _RESIDUAL_RTOL,
-    _STEP_TOL,
-    solve_dc,
-)
+from repro.circuit.solver import _MAX_ITERATIONS, NewtonResult, newton_rows, solve_dc
 from repro.circuit.transient import (
     TransientResult,
+    march,
     transient_samples,
     validate_grid,
 )
@@ -820,16 +806,16 @@ class _BatchContext:
     """Evaluation context of one batched solve (DC or one transient step).
 
     ``prevpad`` is the padded previous-solution stack ``(m, size + 1)``
-    and ``state_currents`` the trapezoidal companion history ``(m,
-    n_caps)`` — both per-instance, so the line search narrows them with
-    :meth:`take` alongside the variation rows.
+    and ``history`` the trapezoidal companion currents ``(m, n_caps)`` —
+    both per-instance, so the line search narrows them with :meth:`take`
+    alongside the variation rows.
     """
 
     time_s: float | None = None
     dt_s: float | None = None
     integrator: str = "trapezoidal"
     prevpad: np.ndarray | None = None
-    state_currents: np.ndarray | None = None
+    history: np.ndarray | None = None
 
     def take(self, rows) -> "_BatchContext":
         if self.prevpad is None:
@@ -839,9 +825,7 @@ class _BatchContext:
             dt_s=self.dt_s,
             integrator=self.integrator,
             prevpad=self.prevpad[rows],
-            state_currents=(
-                None if self.state_currents is None else self.state_currents[rows]
-            ),
+            history=None if self.history is None else self.history[rows],
         )
 
 
@@ -851,8 +835,9 @@ _DC_CONTEXT = _BatchContext()
 class _BatchedNewtonEngine:
     """Shared core of the circuit engines: one compiled plan, N instances.
 
-    Owns the compiled stamp plan and the batched damped Newton
-    iteration (:meth:`_newton_batch`), in both DC and transient-step
+    Owns the compiled stamp plan and adapts the package's one Newton
+    driver, :func:`repro.circuit.solver.newton_rows`, to perturbed
+    instances (:meth:`_newton_batch`), in both DC and transient-step
     contexts.  Stacked evaluation has one kernel,
     :meth:`repro.circuit.assembly.StampPlan.evaluate_stack`;
     :meth:`_evaluate_batch` hands it the batch context and the
@@ -864,12 +849,7 @@ class _BatchedNewtonEngine:
     def __init__(self, circuit: Circuit):
         self.circuit = circuit
         self.system = circuit.build_system()
-        plan = self.system._plan
-        if plan is None:
-            raise UnsupportedElement(
-                "circuit contains element types the stamp plan cannot compile"
-            )
-        self.plan = plan
+        self.plan = self.system._plan
         self.fets = tuple(el for el in circuit.elements if isinstance(el, FET))
         if not self.fets:
             raise ValueError("circuit has no FETs to perturb")
@@ -911,7 +891,7 @@ class _BatchedNewtonEngine:
         :meth:`repro.circuit.assembly.StampPlan.evaluate_stack`.
         """
         return self.plan.evaluate_stack(
-            x, ctx.time_s, ctx.dt_s, ctx.integrator, ctx.prevpad, ctx.state_currents,
+            x, ctx.time_s, ctx.dt_s, ctx.integrator, ctx.prevpad, ctx.history,
             gmin=gmin,
             vth_shift_v=variation.vth_shift_v,
             drive_scale=variation.drive_scale,
@@ -959,78 +939,18 @@ class _BatchedNewtonEngine:
         gmin: float = 0.0,
         max_iterations: int = _MAX_ITERATIONS,
         ctx: _BatchContext = _DC_CONTEXT,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Damped Newton on every instance at once; returns (x, converged).
+    ) -> NewtonResult:
+        """Damped Newton on every instance at once.
 
-        Per-instance semantics mirror :func:`repro.circuit.solver.
-        newton_solve`: one relative+absolute max-norm criterion, a
-        backtracking line search with per-instance damping, and a
-        step-stall exit.  Instances leave the active set as they
-        converge (or stall), so late iterations only pay for the
-        stragglers.
+        :func:`repro.circuit.solver.newton_rows` over
+        :meth:`_evaluate_batch` and the plan's stacked step solve;
+        returns its :class:`~repro.circuit.solver.NewtonResult`.
         """
-        m = x0.shape[0]
-        x = x0.copy()
-        residual, jacobian = self._evaluate_batch(x, variation, gmin, ctx)
-        norm = np.abs(residual).max(axis=1)
-        tolerance = _RESIDUAL_ATOL + _RESIDUAL_RTOL * norm
-        converged = norm <= tolerance
-        active = np.flatnonzero(~converged)
-        iterations = 0
 
-        while active.size and iterations < max_iterations:
-            iterations += 1
-            jac_active = jacobian[active]  # copy — safe to regularize in place
-            step, dead = self._solve_steps(jac_active, -residual[active])
-            if dead.size:
-                # Singular instances leave the active set unconverged.
-                active = np.delete(active, dead)
-                step = np.delete(step, dead, axis=0)
-                if not active.size:
-                    break
-            bad = ~np.all(np.isfinite(step), axis=1)
-            if bad.any():
-                active = active[~bad]
-                step = step[~bad]
-                if not active.size:
-                    break
+        def evaluate(x_rows, rows):
+            return self._evaluate_batch(x_rows, variation.take(rows), gmin, ctx.take(rows))
 
-            # Vectorised backtracking line search with per-instance damping.
-            damping = np.ones(active.size)
-            accepted = np.zeros(active.size, dtype=bool)
-            pending = np.arange(active.size)
-            for _ in range(30):
-                rows = active[pending]
-                x_trial = x[rows] + damping[pending, None] * step[pending]
-                r_trial, j_trial = self._evaluate_batch(
-                    x_trial, variation.take(rows), gmin, ctx.take(rows)
-                )
-                n_trial = np.abs(r_trial).max(axis=1)
-                ok = (n_trial < norm[rows]) | (n_trial <= tolerance[rows])
-                take = pending[ok]
-                if take.size:
-                    sel = active[take]
-                    x[sel] = x_trial[ok]
-                    residual[sel] = r_trial[ok]
-                    jacobian[sel] = j_trial[ok]
-                    norm[sel] = n_trial[ok]
-                    accepted[take] = True
-                pending = pending[~ok]
-                if not pending.size:
-                    break
-                damping[pending] *= 0.5
-
-            moved = np.flatnonzero(accepted)
-            step_size = np.zeros(active.size)
-            step_size[moved] = np.abs(
-                damping[moved, None] * step[moved]
-            ).max(axis=1)
-            converged[active] = norm[active] <= tolerance[active]
-            # Stay active only if: the line search moved, we haven't
-            # converged, and the step hasn't stalled below _STEP_TOL.
-            keep = accepted & ~converged[active] & (step_size >= _STEP_TOL)
-            active = active[keep]
-        return x, converged
+        return newton_rows(evaluate, self.plan.solve_stack, x0, max_iterations)
 
     def _rescue_batch(
         self,
@@ -1053,59 +973,11 @@ class _BatchedNewtonEngine:
         sub = variation.take(failed)
         x_fail = np.tile(x_seed, (failed.size, 1))
         for gmin in _GMIN_RESCUE_LADDER:
-            x_fail, stage_ok = self._newton_batch(
+            x_fail, stage_ok, _, _ = self._newton_batch(
                 x_fail, sub, gmin=gmin, ctx=ctx.take(failed)
             )
         x[failed[stage_ok]] = x_fail[stage_ok]
         converged[failed[stage_ok]] = True
-
-    def _solve_steps(
-        self, jac_active: np.ndarray, rhs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Regularized Newton steps for a stack of per-instance Jacobians.
-
-        Dense: one batched LAPACK solve over the ``(k, size, size)``
-        stack, dropping to a per-row retry only when LAPACK reports a
-        singular member.  Sparse: per-instance numeric refactorization
-        of the ``(k, nnz)`` data stack against the plan's one-time
-        symbolic ordering (:meth:`repro.circuit.assembly.
-        _SparseSchedule.factor`).  ``jac_active`` is a private copy and
-        is regularized in place.  Returns ``(steps, dead)`` with
-        ``dead`` indexing rows whose matrix is numerically singular.
-        """
-        no_dead = np.empty(0, dtype=np.intp)
-        if not self.plan.use_sparse:
-            diag = np.einsum("ijj->ij", jac_active)
-            diag += DIAG_REGULARIZATION
-            try:
-                # RHS as (k, size, 1) column matrices: the batched-solve
-                # gufunc otherwise misreads a (k, size) stack as one matrix.
-                return np.linalg.solve(jac_active, rhs[:, :, None])[..., 0], no_dead
-            except np.linalg.LinAlgError:
-                return self._solve_rows(jac_active, rhs)
-        schedule = self.plan.sparse_schedule
-        jac_active[:, schedule.diag_pos] += DIAG_REGULARIZATION
-        steps = np.zeros_like(rhs)
-        dead: list[int] = []
-        for i in range(jac_active.shape[0]):
-            solve = schedule.factor(jac_active[i])
-            if solve is None:
-                dead.append(i)
-                continue
-            steps[i] = solve(rhs[i])
-        return steps, (no_dead if not dead else np.array(dead, dtype=np.intp))
-
-    @staticmethod
-    def _solve_rows(jacobians: np.ndarray, rhs: np.ndarray):
-        """Row-by-row fallback when the batched solve hits a singular matrix."""
-        steps = np.zeros_like(rhs)
-        dead: list[int] = []
-        for i in range(jacobians.shape[0]):
-            try:
-                steps[i] = np.linalg.solve(jacobians[i], rhs[i])
-            except np.linalg.LinAlgError:
-                dead.append(i)
-        return steps, np.array(dead, dtype=np.intp)
 
 
 @lru_cache(maxsize=4)
@@ -1308,7 +1180,7 @@ class CircuitMonteCarlo(_BatchedNewtonEngine):
         """Batched Newton from the nominal seed, with a gmin rescue ladder."""
         m = variation.n_instances
         x_start = np.tile(x0, (m, 1))
-        x, converged = self._newton_batch(x_start, variation)
+        x, converged, _, _ = self._newton_batch(x_start, variation)
         self._rescue_batch(x0, x, converged, variation)
         return MonteCarloResult(
             x=x,
@@ -1476,11 +1348,8 @@ class CircuitTransientMC(_BatchedNewtonEngine):
         integrator: str,
         step_max_iterations: int,
     ) -> TransientMCResult:
-        plan = self.plan
-        size = plan.size
         n_steps = validate_grid(t_stop_s, dt_s, integrator)
         m = variation.n_instances
-        samples = np.empty((m, n_steps + 1, size))
         converged = np.ones(m, dtype=bool)
         fallback = np.zeros(m, dtype=bool)
         # Perturbed scalar systems, built lazily for instances that need
@@ -1493,8 +1362,7 @@ class CircuitTransientMC(_BatchedNewtonEngine):
         # ladder for stragglers, full scalar continuation for the rest.
         ctx0 = _BatchContext(time_s=0.0)
         seed = structural_seed(self.system, time_s=0.0)
-        x = np.tile(seed, (m, 1))
-        x, ok = self._newton_batch(x, variation, ctx=ctx0)
+        x, ok, _, _ = self._newton_batch(np.tile(seed, (m, 1)), variation, ctx=ctx0)
         self._rescue_batch(seed, x, ok, variation, ctx=ctx0)
         for i in np.flatnonzero(~ok):
             i = int(i)
@@ -1507,78 +1375,45 @@ class CircuitTransientMC(_BatchedNewtonEngine):
                 ok[i] = True
             else:
                 converged[i] = False
-        samples[:, 0] = x
 
-        alive = np.flatnonzero(ok)
-        x_alive = x[alive]
-        prevpad = np.zeros((alive.size, size + 1))
-        prevpad[:, :size] = x_alive
-        state = np.zeros((alive.size, len(plan.cap_names)))
-
-        for step in range(1, n_steps + 1):
-            if not alive.size:
-                break
+        def newton(x_prev, alive, time_s, prevpad, history):
             ctx = _BatchContext(
-                time_s=step * dt_s,
+                time_s=time_s,
                 dt_s=dt_s,
                 integrator=integrator,
                 prevpad=prevpad,
-                state_currents=state,
+                history=history,
             )
-            x_next, ok_step = self._newton_batch(
-                x_alive,
-                variation.take(alive),
-                ctx=ctx,
-                max_iterations=step_max_iterations,
+            result = self._newton_batch(
+                x_prev, variation.take(alive), ctx=ctx, max_iterations=step_max_iterations
             )
-            if not ok_step.all():
-                # A failed step falls back to the scalar path
-                # individually — the same adaptive continuation rescue
-                # transient() applies to a failed step (anchored at that
-                # instance's previous solution and companion state) —
-                # after which the instance rejoins the lockstep batch.
-                for row in np.flatnonzero(~ok_step):
-                    row = int(row)
-                    instance = int(alive[row])
-                    fallback[instance] = True
-                    system = self._scalar_system(scalar_systems, variation, instance)
-                    state_dict = {
-                        name: float(value)
-                        for name, value in zip(plan.cap_names, state[row])
-                    }
-                    x_rescued, report = solve_dc_robust(
-                        system,
-                        prevpad[row, :size],
-                        time_s=ctx.time_s,
-                        dt_s=dt_s,
-                        previous_x=prevpad[row, :size],
-                        integrator=integrator,
-                        state=state_dict,
-                    )
-                    if report.converged:
-                        x_next[row] = x_rescued
-                        ok_step[row] = True
-                    else:
-                        converged[instance] = False
-                if not ok_step.all():
-                    # Even the scalar rescue failed: drop the instance.
-                    alive = alive[ok_step]
-                    x_next = x_next[ok_step]
-                    prevpad = prevpad[ok_step]
-                    state = state[ok_step]
-                    if not alive.size:
-                        break
-            xpad = np.zeros((alive.size, size + 1))
-            xpad[:, :size] = x_next
-            # Update trapezoidal history currents at the accepted solution.
-            if integrator == "trapezoidal" and state.shape[1]:
-                state = plan.cap_state_update(xpad, prevpad, dt_s, integrator, state)
-            samples[alive, step] = x_next
-            prevpad = xpad
-            x_alive = x_next
+            return result.x, result.converged
 
+        def rescue(instance, time_s, x_prev, history):
+            # The same adaptive continuation rescue transient() applies
+            # to a failed step, on this instance's perturbed circuit
+            # anchored at its previous solution and companion history;
+            # the instance then rejoins the lockstep batch.
+            fallback[instance] = True
+            x_rescued, report = solve_dc_robust(
+                self._scalar_system(scalar_systems, variation, instance),
+                x_prev,
+                time_s=time_s,
+                dt_s=dt_s,
+                previous_x=x_prev,
+                integrator=integrator,
+                history=history,
+            )
+            if report.converged:
+                return x_rescued
+            converged[instance] = False
+            return None
+
+        samples = march(
+            self.plan, x, n_steps, dt_s, integrator, newton, rescue,
+            alive=np.flatnonzero(ok),
+        )
         samples[~converged] = np.nan
-
         return TransientMCResult(
             samples=samples,
             dt_s=dt_s,

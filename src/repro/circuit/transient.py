@@ -6,15 +6,18 @@ trapezoidal rule (default) is second-order accurate — validated against
 closed-form RC responses in the test suite — while backward Euler is
 available for heavily damped startup transients.
 
-The scalar entry point :func:`transient` is composed from three
-reusable pieces so the batched transient Monte Carlo engine
-(:class:`repro.circuit.sweep.CircuitTransientMC`) can share them:
+The scalar :func:`transient` and the batched transient Monte Carlo
+engine (:class:`repro.circuit.sweep.CircuitTransientMC`) share:
 
 * :func:`validate_grid` — the one place the ``(t_stop, dt,
   integrator)`` contract is checked and the step count is derived;
-* :func:`transient_samples` — the time-marching loop over raw solution
-  vectors (per-step Newton with the continuation rescue), returning the
-  ``(n_steps + 1, size)`` sample matrix;
+* :func:`march` — the one time-march loop.  It steps an ``(m, size)``
+  stack of solved t=0 rows in lockstep and carries the trapezoidal
+  companion history as an ``(m, n_caps)`` array.  The caller supplies
+  the per-step Newton and the per-row rescue of a failed step: the
+  scalar path rescues through the continuation ladder and raises
+  :class:`ConvergenceError` with its history; the Monte Carlo engine
+  marks the instance instead;
 * :func:`result_from_samples` — the mapping from a sample matrix to the
   named-waveform :class:`TransientResult`.
 """
@@ -34,11 +37,14 @@ __all__ = [
     "TransientResult",
     "transient",
     "transient_samples",
+    "march",
     "result_from_samples",
     "validate_grid",
 ]
 
 _INTEGRATORS = ("trapezoidal", "backward-euler")
+# How far t_stop / dt may sit from a whole step count (relative).
+_GRID_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -67,7 +73,9 @@ def validate_grid(t_stop_s: float, dt_s: float, integrator: str) -> int:
 
     Shared by the scalar :func:`transient` and the batched
     :class:`repro.circuit.sweep.CircuitTransientMC`, so both reject the
-    same inputs and march the identical grid.
+    same inputs and march the identical grid.  ``t_stop`` must be a
+    whole number of steps: a grid that would end early is an error,
+    not a silently shorter run.
     """
     if t_stop_s <= 0.0 or dt_s <= 0.0:
         raise CircuitError("t_stop and dt must be positive")
@@ -75,7 +83,65 @@ def validate_grid(t_stop_s: float, dt_s: float, integrator: str) -> int:
         raise CircuitError(f"dt {dt_s} exceeds t_stop {t_stop_s}")
     if integrator not in _INTEGRATORS:
         raise CircuitError(f"unknown integrator {integrator!r}; use {_INTEGRATORS}")
-    return int(round(t_stop_s / dt_s))
+    ratio = t_stop_s / dt_s
+    n_steps = int(round(ratio))
+    if abs(ratio - n_steps) > _GRID_RTOL * ratio:
+        raise CircuitError(
+            f"t_stop {t_stop_s} is not a whole number of steps dt {dt_s}"
+        )
+    return n_steps
+
+
+def march(
+    plan,
+    x0: np.ndarray,
+    n_steps: int,
+    dt_s: float,
+    integrator: str,
+    newton,
+    rescue,
+    alive: np.ndarray | None = None,
+) -> np.ndarray:
+    """Step an ``(m, size)`` stack of solved t=0 rows in lockstep.
+
+    ``alive`` selects the rows that march (all by default).  Each step
+    calls ``newton(x_prev, alive, time_s, prevpad, history)`` for the
+    marching rows — ``prevpad`` is the padded previous solution stack
+    ``(k, size + 1)`` and ``history`` the trapezoidal companion currents
+    ``(k, n_caps)`` — which returns ``(x_next, ok)``.  A row whose step
+    failed goes to ``rescue(row, time_s, x_prev, history_row)``; it
+    returns that row's solution, or None to stop marching the row.
+    Returns the ``(m, n_steps + 1, size)`` samples; samples a row never
+    reached are NaN.
+    """
+    m, size = x0.shape
+    samples = np.full((m, n_steps + 1, size), np.nan)
+    samples[:, 0] = x0
+    alive = np.arange(m) if alive is None else alive
+    x = x0[alive]
+    prevpad = np.zeros((alive.size, size + 1))
+    prevpad[:, :size] = x
+    history = np.zeros((alive.size, len(plan.cap_names)))
+    for step in range(1, n_steps + 1):
+        if not alive.size:
+            break
+        time_s = step * dt_s
+        x, ok = newton(x, alive, time_s, prevpad, history)
+        if np.count_nonzero(ok) < ok.size:
+            for row in (~ok).nonzero()[0]:
+                rescued = rescue(int(alive[row]), time_s, prevpad[row, :size], history[row])
+                if rescued is not None:
+                    x[row] = rescued
+                    ok[row] = True
+            if not ok.all():
+                alive, x, prevpad, history = alive[ok], x[ok], prevpad[ok], history[ok]
+        xpad = np.zeros((alive.size, size + 1))
+        xpad[:, :size] = x
+        if integrator == "trapezoidal" and history.shape[1]:
+            history = plan.cap_history_update(xpad, prevpad, dt_s, integrator, history)
+        samples[alive, step] = x
+        prevpad = xpad
+    return samples
 
 
 def transient_samples(
@@ -88,57 +154,44 @@ def transient_samples(
     """March the system from its t=0 operating point; returns raw samples.
 
     The ``(n_steps + 1, size)`` matrix stacks the DC solution at t=0 and
-    every accepted time step.  Each step runs plain Newton from the
-    previous solution; a failed step is rescued through the adaptive
-    continuation ladder anchored at the last accepted solution, and a
-    rescue failure raises :class:`ConvergenceError` with the full
-    ladder history.
+    every accepted time step: :func:`march` over a stack of one.  Each
+    step runs plain Newton from the previous solution; a failed step is
+    rescued through the adaptive continuation ladder anchored at the
+    last accepted solution, and a rescue failure raises
+    :class:`ConvergenceError` with the full ladder history.
     """
     n_steps = validate_grid(t_stop_s, dt_s, integrator)
     x = solve_dc(system, x0, time_s=0.0)
 
-    samples = np.empty((n_steps + 1, system.size))
-    samples[0] = x
-    state: dict[str, float] = {}
-
-    previous_x = np.array(x)
-    for step in range(1, n_steps + 1):
-        t = step * dt_s
+    def newton(x_prev, alive, time_s, prevpad, history):
         x_next, converged = newton_solve(
             system,
-            previous_x,
-            time_s=t,
+            x_prev[0],
+            time_s=time_s,
             dt_s=dt_s,
-            previous_x=previous_x,
+            previous_x=x_prev[0],
             integrator=integrator,
-            state=state,
+            history=history[0],
         )
-        if not converged:
-            # Rescue the timestep through the adaptive continuation
-            # ladder, anchored at the last accepted solution (the
-            # companion model rides along in the eval kwargs).  The old
-            # silent retry-from-zeros could hand back a wrong-branch
-            # solution with no trace; now a failure raises with the
-            # full ladder history.
-            x_next, rescue = solve_dc_robust(
-                system,
-                previous_x,
-                time_s=t,
-                dt_s=dt_s,
-                previous_x=previous_x,
-                integrator=integrator,
-                state=state,
+        return x_next[None], np.array([converged])
+
+    def rescue(row, time_s, x_prev, history):
+        x_next, report = solve_dc_robust(
+            system,
+            x_prev,
+            time_s=time_s,
+            dt_s=dt_s,
+            previous_x=x_prev,
+            integrator=integrator,
+            history=history,
+        )
+        if not report.converged:
+            raise ConvergenceError(
+                f"transient Newton failed at t = {time_s:.3e} s", report
             )
-            if not rescue.converged:
-                raise ConvergenceError(
-                    f"transient Newton failed at t = {t:.3e} s", rescue
-                )
-        # Update trapezoidal history currents at the accepted solution.
-        if integrator == "trapezoidal":
-            system.update_capacitor_state(x_next, previous_x, dt_s, integrator, state)
-        samples[step] = x_next
-        previous_x = x_next
-    return samples
+        return x_next
+
+    return march(system._plan, x[None], n_steps, dt_s, integrator, newton, rescue)[0]
 
 
 def result_from_samples(

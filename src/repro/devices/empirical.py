@@ -119,7 +119,7 @@ class AlphaPowerFET(FETModel):
             # Source/drain exchange symmetry of a symmetric device.
             return -self.current(vgs - vds, -vds)
         overdrive = self.overdrive(vgs)
-        vdsat = self.saturation_voltage(vgs)
+        vdsat = max(self.sat_fraction * overdrive, 1e-6)
         saturation = math.tanh(vds / vdsat)
         return (
             self.k_a_per_v_alpha

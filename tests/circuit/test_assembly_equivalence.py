@@ -11,7 +11,7 @@ and both the dense and sparse assembly regimes.
 import numpy as np
 import pytest
 
-from repro.circuit.assembly import SPARSE_THRESHOLD, StampPlan
+from repro.circuit.assembly import SPARSE_THRESHOLD, StampPlan, UnsupportedElement
 from repro.circuit.elements import Element
 from repro.circuit.netlist import Circuit
 from repro.circuit.solver import newton_solve, solve_dc
@@ -119,11 +119,9 @@ def test_compiled_matches_reference(circuit_name, context):
     kwargs = dict(CONTEXTS[context])
     if "dt_s" in kwargs:
         kwargs["previous_x"] = rng.normal(scale=0.5, size=system.size)
-        kwargs["state"] = {
-            el.name: rng.normal() * 1e-7
-            for el in system.circuit.elements
-            if type(el).__name__ == "Capacitor"
-        }
+        kwargs["history"] = np.array([
+            rng.normal() * 1e-7 for _ in system._plan.cap_names
+        ])
     for _ in range(3):
         x = rng.normal(scale=0.7, size=system.size)
         res_c, jac_c = system.evaluate(x, **kwargs)
@@ -172,7 +170,7 @@ def test_sparse_newton_caches_symbolic_analysis():
     # scipy's from-scratch sparse solve does.
     residual, jacobian = system.evaluate(x + 0.01)
     residual = residual.copy()
-    step = plan.sparse_newton_step(jacobian, residual)
+    step = plan.solve_stack(jacobian.data[None].copy(), -residual[None])[0]
     regularized = jacobian + DIAG_REGULARIZATION * identity(system.size)
     reference = spsolve(regularized.tocsc(), -residual)
     np.testing.assert_allclose(step, reference, rtol=1e-9, atol=1e-12)
@@ -196,28 +194,30 @@ def test_plan_reuses_across_waveform_mutation():
 def test_capacitor_state_update_matches_reference():
     circuit = rc_ladder()
     system = circuit.build_system()
+    plan = system._plan
     rng = np.random.default_rng(7)
     x = rng.normal(size=system.size)
     previous = rng.normal(size=system.size)
-    state_plan = {f"C{i}": rng.normal() * 1e-7 for i in range(4)}
-    state_ref = dict(state_plan)
+    history = np.array([rng.normal() * 1e-7 for _ in range(4)])
 
-    system.update_capacitor_state(x, previous, 1e-12, "trapezoidal", state_plan)
+    history_plan = plan.cap_history_update(
+        np.append(x, 0.0), np.append(previous, 0.0), 1e-12, "trapezoidal", history
+    )
 
     from repro.circuit.elements import Capacitor, StampContext
 
     ctx = StampContext(
         system=system, x=x, residual=None, jacobian=None,
-        dt_s=1e-12, previous_x=previous, integrator="trapezoidal", state=state_ref,
+        dt_s=1e-12, previous_x=previous, integrator="trapezoidal",
+        state=dict(zip(plan.cap_names, history)),
     )
-    for el in circuit.elements:
-        if isinstance(el, Capacitor):
-            state_ref[el.name] = el.update_state(ctx)
-    for name in state_ref:
-        assert state_plan[name] == pytest.approx(state_ref[name], abs=1e-18)
+    capacitors = [el for el in circuit.elements if isinstance(el, Capacitor)]
+    assert [el.name for el in capacitors] == plan.cap_names
+    for value, el in zip(history_plan, capacitors):
+        assert value == pytest.approx(el.update_state(ctx), abs=1e-18)
 
 
-def test_unsupported_element_falls_back_to_reference():
+def test_unsupported_element_is_rejected_at_build():
     class Shunt(Element):
         name = "X1"
         nodes = ("a",)
@@ -229,13 +229,8 @@ def test_unsupported_element_falls_back_to_reference():
     c.add_voltage_source("V1", "a", "0", DC(1.0))
     c.add_resistor("R1", "a", "0", 1e3)
     c.add(Shunt())
-    system = c.build_system()
-    assert system._plan is None
-    x = np.zeros(system.size)
-    res, jac = system.evaluate(x)
-    res_d, jac_d = system.evaluate_dense(x)
-    np.testing.assert_allclose(res, res_d, atol=ATOL, rtol=0.0)
-    np.testing.assert_allclose(jac, jac_d, atol=ATOL, rtol=0.0)
+    with pytest.raises(UnsupportedElement, match="Shunt"):
+        c.build_system()
 
 
 def test_standalone_plan_compiles_small_circuits():
@@ -279,13 +274,15 @@ def _stack_context(name, plan, rng, xs):
     timing = dict(time_s=1e-10, dt_s=1e-12)
     if name == "trapezoidal":
         previous_x = rng.normal(scale=0.5, size=size)
-        state = {cap: rng.normal() * 1e-7 for cap in plan.cap_names}
+        history = np.array([rng.normal() * 1e-7 for _ in plan.cap_names])
         prevpad = np.zeros((m, size + 1))
         prevpad[:] = np.append(previous_x, 0.0)
-        history = np.tile(plan.cap_state_array(state), (m, 1))
-        kwargs = dict(timing, integrator="trapezoidal", previous_x=previous_x, state=state)
+        kwargs = dict(
+            timing, integrator="trapezoidal", previous_x=previous_x, history=history
+        )
         ctx = _BatchContext(
-            integrator="trapezoidal", prevpad=prevpad, state_currents=history, **timing
+            integrator="trapezoidal", prevpad=prevpad, history=np.tile(history, (m, 1)),
+            **timing,
         )
         return 0.0, kwargs, ctx
     # Backward Euler anchored at each iterate (no previous solution).

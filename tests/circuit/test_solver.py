@@ -109,21 +109,129 @@ class TestBatchedLineSearch:
         assert calls["many"] > 0
         assert np.max(np.abs(residual)) < 1e-8 or not converged
 
+    @staticmethod
+    def _sequential_newton(system, x0):
+        """Reference Newton: one ``plan.evaluate`` per damping trial."""
+        from repro.circuit.assembly import DIAG_REGULARIZATION
+        from repro.circuit.solver import (
+            _MAX_ITERATIONS,
+            _MAX_TRIALS,
+            _RESIDUAL_ATOL,
+            _RESIDUAL_RTOL,
+            _STEP_TOL,
+        )
+
+        plan = system._plan
+        regularization = DIAG_REGULARIZATION * np.eye(system.size)
+        x = np.array(x0, dtype=float)
+        residual, jacobian = (array.copy() for array in plan.evaluate(x))
+        norm = np.max(np.abs(residual))
+        tolerance = _RESIDUAL_ATOL + _RESIDUAL_RTOL * norm
+        converged = norm <= tolerance
+        for _ in range(_MAX_ITERATIONS):
+            if converged:
+                break
+            step = np.linalg.solve(jacobian + regularization, -residual)
+            for trial in range(_MAX_TRIALS):
+                damping = 0.5**trial
+                r_trial, j_trial = plan.evaluate(x + damping * step)
+                n_trial = np.max(np.abs(r_trial))
+                if n_trial < norm or n_trial <= tolerance:
+                    x = x + damping * step
+                    residual, jacobian, norm = r_trial.copy(), j_trial.copy(), n_trial
+                    break
+            else:
+                break
+            converged = norm <= tolerance
+            if np.max(np.abs(damping * step)) < _STEP_TOL:
+                break
+        return x, converged
+
     def test_batched_ladder_matches_sequential_ladder(self):
         system = self._chain().build_system()
         x0 = np.full(system.size, 0.5)
         x0[system.node_index("vdd")] = -1.0
         x_batched, ok_batched = newton_solve(system, x0)
-
-        # Hiding the compiled plan forces the sequential scalar ladder
-        # (reference-evaluator Newton); it must accept the same damping
+        # The per-trial sequential ladder must accept the same damping
         # sequence and land on the same solution.
-        system2 = self._chain().build_system()
-        system2._plan = None
-        system2.evaluate = system2.evaluate_dense
-        x_scalar, ok_scalar = newton_solve(system2, x0)
+        x_scalar, ok_scalar = self._sequential_newton(system, x0)
         assert ok_batched == ok_scalar
         np.testing.assert_allclose(x_batched, x_scalar, atol=1e-7)
+
+
+def _loaded_chain(n_stages):
+    """Complementary chain with a load capacitor on every stage."""
+    c = Circuit(f"loaded-chain-{n_stages}")
+    c.add_voltage_source("VDD", "vdd", "0", DC(1.0))
+    c.add_voltage_source("VIN", "s0", "0", DC(0.0))
+    fet = AlphaPowerFET()
+    for i in range(n_stages):
+        c.add_fet(f"MP{i}", f"s{i+1}", f"s{i}", "vdd", PType(fet))
+        c.add_fet(f"MN{i}", f"s{i+1}", f"s{i}", "0", fet)
+        c.add_capacitor(f"C{i}", f"s{i+1}", "0", 2e-15)
+    return c
+
+
+class TestScalarAdapterMatchesBatch:
+    """``newton_solve`` and a one-row ``_newton_batch`` are one driver.
+
+    Both adapters must report the same convergence flag and iteration
+    count and land on the same solution, on the dense and the sparse
+    plan, in every evaluation context.  Starts: the structural seed
+    (converges at once), the line-search tests' inverted-rails start
+    (the whole ladder is rejected) and the seed with every logic level
+    flipped (dozens of iterations through accepted ladder dampings).
+    """
+
+    @pytest.fixture(scope="class", params=[20, 130], ids=["dense", "sparse"])
+    def engine(self, request):
+        from repro.circuit.sweep import CircuitMonteCarlo
+
+        engine = CircuitMonteCarlo(_loaded_chain(request.param))
+        assert engine.plan.use_sparse == (request.param == 130)
+        return engine
+
+    @pytest.mark.parametrize("start", ["seed", "adversarial", "flipped"])
+    @pytest.mark.parametrize("context", ["dc", "gmin", "trapezoidal"])
+    def test_same_flag_iterations_and_solution(self, engine, context, start):
+        from repro.circuit.continuation import ConvergenceReport, structural_seed
+        from repro.circuit.sweep import FETVariation, _BatchContext
+
+        system = engine.system
+        plan = engine.plan
+        x0 = structural_seed(system)
+        if start == "adversarial":
+            x0 = np.full(system.size, 0.5)
+            x0[system.node_index("vdd")] = -1.0
+        elif start == "flipped":
+            x0[: system.n_nodes] = 1.0 - x0[: system.n_nodes]
+            x0[system.node_index("vdd")] = 1.0
+            x0[system.node_index("s0")] = 0.0
+        gmin = 1e-6 if context == "gmin" else 0.0
+        kwargs, ctx = {}, _BatchContext()
+        if context == "trapezoidal":
+            rng = np.random.default_rng(3)
+            previous_x = structural_seed(system)
+            history = rng.normal(scale=1e-7, size=len(plan.cap_names))
+            timing = dict(time_s=1e-11, dt_s=1e-12, integrator="trapezoidal")
+            kwargs = dict(timing, previous_x=previous_x, history=history)
+            ctx = _BatchContext(
+                prevpad=np.append(previous_x, 0.0)[None],
+                history=history[None],
+                **timing,
+            )
+
+        report = ConvergenceReport()
+        x_scalar, ok_scalar = newton_solve(
+            system, x0, gmin=gmin, report=report, **kwargs
+        )
+        batch = engine._newton_batch(
+            x0[None], FETVariation.nominal(1, len(engine.fet_names)), gmin, ctx=ctx
+        )
+        assert report.attempts[-1].iterations > 0
+        assert ok_scalar == bool(batch.converged[0])
+        assert report.attempts[-1].iterations == int(batch.iterations[0])
+        np.testing.assert_allclose(x_scalar, batch.x[0], atol=1e-12, rtol=0.0)
 
 
 class TestStiffCircuits:

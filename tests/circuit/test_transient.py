@@ -79,6 +79,18 @@ class TestValidation:
         with pytest.raises(CircuitError):
             transient(rc_circuit(), 1e-6, 1e-8, integrator="gear2")
 
+    @pytest.mark.parametrize("dt_s", [4e-10, 3e-10])
+    def test_grid_that_would_end_early_is_rejected(self, dt_s):
+        # 1 ns / 0.4 ns rounds to 2 steps (0.8 ns), 1 ns / 0.3 ns to 3
+        # (0.9 ns): the run would silently stop short of t_stop.
+        with pytest.raises(CircuitError, match=f"t_stop 1e-09 .* dt {dt_s}"):
+            transient(rc_circuit(), 1e-9, dt_s)
+
+    def test_grid_within_rounding_of_whole_steps_is_accepted(self):
+        # 0.3 / 0.1 is 2.9999999999999996 in floating point.
+        result = transient(rc_circuit(), 0.3e-9, 0.1e-9)
+        assert result.time_s.size == 4
+
 
 class TestDynamicSources:
     def test_sine_through_divider(self):

@@ -278,6 +278,11 @@ class TestResultAccessors:
         with pytest.raises(ValueError):
             engine.run(t_stop_s=1e-10, dt_s=1e-11)  # neither variation nor count
 
+    def test_grid_that_would_end_early_is_rejected(self, engine):
+        # 1 ns / 0.4 ns rounds to 2 steps: the march would stop at 0.8 ns.
+        with pytest.raises(CircuitError, match="t_stop 1e-09 .* dt 4e-10"):
+            engine.run(n_instances=2, t_stop_s=1e-9, dt_s=4e-10)
+
 
 class TestPerturbedCircuit:
     def test_preserves_layout_and_semantics(self, engine, variation):
