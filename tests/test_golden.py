@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import EXPERIMENTS
+from repro.cli import EXPERIMENTS, PHYSICAL_EXPERIMENTS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -50,6 +50,12 @@ GOLDEN_EXPERIMENTS = (
     "rf",
 )
 
+# The ``--physical`` stacks (the same experiments on the
+# surrogate-compiled CNT-FET) are snapshotted as
+# ``<name>-physical.json``, the name the benchmark's output check
+# (perfbench/run.py) looks up for them.
+PHYSICAL_GOLDEN_EXPERIMENTS = tuple(PHYSICAL_EXPERIMENTS)
+
 # table1's reference column is NaN where the paper quotes no number.
 # The benchmark's output check (perfbench/checks.py) reads
 # ``tests/golden/<name>.json`` and treats NaN as a mismatch, so this
@@ -59,6 +65,10 @@ GOLDEN_FILES = {"table1": "table1-claims.json"}
 
 def _golden_path(name: str) -> Path:
     return GOLDEN_DIR / GOLDEN_FILES.get(name, f"{name}.json")
+
+
+def _physical_golden_path(name: str) -> Path:
+    return GOLDEN_DIR / f"{name}-physical.json"
 
 
 # Tight by design: these runs are deterministic (fixed seeds, fixed
@@ -76,11 +86,8 @@ def _rows_as_json(rows) -> list[list]:
     return [[row[0], *[float(v) for v in row[1:]]] for row in rows]
 
 
-@pytest.mark.parametrize("name", GOLDEN_EXPERIMENTS)
-def test_cli_output_matches_golden(name, request):
-    rows = _rows_as_json(EXPERIMENTS[name][1]())
-    path = _golden_path(name)
-
+def _check_against_golden(name: str, rows, path: Path, request) -> None:
+    rows = _rows_as_json(rows)
     if request.config.getoption("--update-golden", default=False):
         GOLDEN_DIR.mkdir(exist_ok=True)
         path.write_text(json.dumps(rows, indent=1) + "\n")
@@ -106,11 +113,25 @@ def test_cli_output_matches_golden(name, request):
         ), f"{name}: row {current[0]!r} drifted from golden"
 
 
+@pytest.mark.parametrize("name", GOLDEN_EXPERIMENTS)
+def test_cli_output_matches_golden(name, request):
+    _check_against_golden(name, EXPERIMENTS[name][1](), _golden_path(name), request)
+
+
+@pytest.mark.parametrize("name", PHYSICAL_GOLDEN_EXPERIMENTS)
+def test_physical_output_matches_golden(name, request):
+    _check_against_golden(
+        f"{name} --physical",
+        PHYSICAL_EXPERIMENTS[name](),
+        _physical_golden_path(name),
+        request,
+    )
+
+
 def test_golden_files_are_committed():
     """Every snapshotted experiment has its golden file in the tree."""
-    missing = [
-        name
-        for name in GOLDEN_EXPERIMENTS
-        if not _golden_path(name).exists()
+    paths = [_golden_path(name) for name in GOLDEN_EXPERIMENTS] + [
+        _physical_golden_path(name) for name in PHYSICAL_GOLDEN_EXPERIMENTS
     ]
+    missing = [path.name for path in paths if not path.exists()]
     assert not missing, f"golden files missing for: {missing}"
