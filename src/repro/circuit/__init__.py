@@ -21,6 +21,8 @@ sources) — collapsed into one constant matrix per ``(dt, integrator)``
 key — and a *nonlinear* FET group linearized per Newton iteration
 through batched :meth:`repro.devices.base.FETModel.linearize` calls (one
 per device-model instance) and scattered with precomputed index arrays.
+One kernel, ``StampPlan.evaluate_stack``, assembles every residual and
+Jacobian: a single evaluation is a stack of one.
 Systems below :data:`~repro.circuit.assembly.SPARSE_THRESHOLD` (128)
 unknowns assemble dense arrays; larger systems assemble
 ``scipy.sparse`` CSR Jacobians on one canonical sparsity pattern whose
@@ -29,7 +31,8 @@ refactorization.  The original element-walking evaluator survives as
 ``MNASystem.evaluate_dense`` — the reference the equivalence test
 suite holds the compiled path to (1e-12).
 
-One Newton driver and one time-march loop serve every analysis.
+One stamp kernel, one Newton driver and one time-march loop serve
+every analysis.
 :func:`repro.circuit.solver.newton_rows` iterates a stack of rows with
 per-row damping and convergence; the scalar ``newton_solve`` is that
 driver on a batch of one, and the sweep engines run it over all

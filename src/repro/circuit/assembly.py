@@ -11,13 +11,14 @@ compiles a :class:`StampPlan` once per :meth:`Circuit.build_system`:
   single time and cached per ``(dt, integrator)`` key, so the linear
   residual is a matrix-vector product ``A @ x`` and the linear Jacobian
   block is a copy of it.
-* **Right-hand-side terms** (source waveform levels, capacitor history)
-  are gathered through precomputed index arrays each call.
 * **Nonlinear FETs** are grouped by device-model instance and
   linearized in one batched :meth:`repro.devices.base.FETModel.linearize`
   call per group (arrays of ``vgs``/``vds`` in, arrays of
-  ``(id, gm, gds)`` out), then scattered into the residual/Jacobian with
-  ``np.add.at`` through index arrays laid out at compile time.
+  ``(id, gm, gds)`` out).
+* **Everything else is two scatters** laid out at compile time: one
+  ``np.add.at`` puts the source levels, the capacitor history and every
+  group's drain/source currents into the residual, one puts every
+  group's ``gm``/``gds`` stamps into the Jacobian.
 * Systems with ``size >= SPARSE_THRESHOLD`` assemble ``scipy.sparse``
   CSR matrices through a :class:`_SparseSchedule`: one canonical
   sparsity pattern (linear stamps ∪ FET stamps ∪ full diagonal) shared
@@ -28,14 +29,16 @@ compiles a :class:`StampPlan` once per :meth:`Circuit.build_system`:
   what lets the sweep engines stack N instances' CSR ``data`` arrays
   as ``(m, nnz)`` and batch sparse Monte Carlo.  Smaller systems — all
   the seed circuits — assemble dense arrays.
-* **Stacked evaluation has one kernel**, :meth:`StampPlan.evaluate_stack`,
-  with optional per-row companion state and per-instance FET variation;
-  the solver's line search (:meth:`StampPlan.evaluate_many`) and the
-  batched sweep engines both call it.
+* **There is one evaluation kernel**, :meth:`StampPlan.evaluate_stack`,
+  over a stack of iterates with optional per-row companion state and
+  per-instance FET variation.  :meth:`StampPlan.evaluate` is a one-row
+  call of it, :meth:`StampPlan.evaluate_many` the Newton solver's
+  entry and the batched sweep engines call it directly, so a row's
+  residual and Jacobian are the same bits on every path.
 
-The compiled path is numerically equivalent to the reference path (same
-stamps, same finite-difference linearization arithmetic); the test suite
-asserts residual/Jacobian agreement to 1e-12 on representative circuits.
+The compiled path matches the reference path (same stamps, same
+finite-difference step); the test suite asserts residual/Jacobian
+agreement to 1e-12 on representative circuits.
 """
 
 from __future__ import annotations
@@ -65,15 +68,35 @@ SPARSE_THRESHOLD = 128
 # solves and per-iteration nonlinear solves get identical conditioning.
 DIAG_REGULARIZATION = 1e-14
 
-# FET groups at or below this size stamp through the scalar
-# ``linearize_point`` path in dense mode: array dispatch does not
-# amortise below ~4 FETs (the seed's small-circuit advantage; a
-# 2-stage complementary chain is one group of 4).  Devices whose
-# scalar ``current`` is itself a solver call opt out via
-# ``FETModel.prefer_batched_points``.
-SCALAR_GROUP_MAX = 4
+# Sparse refactorizations keep the diagonal pivot of the fill-reducing
+# ordering unless it is below this fraction of its column's largest
+# entry (threshold partial pivoting; SPICE's default is 1e-3).  Strict
+# partial pivoting (1.0) trades the diagonal for near-tied off-diagonal
+# entries, and every such swap fills the factors in.
+PIVOT_THRESHOLD = 0.1
+
+# The companion-model integrators of the transient analyses.
+INTEGRATORS = ("trapezoidal", "backward-euler")
+
+# Row of the kernel's (8, n_fets) FET block that holds each stamp slot
+# (see _FETGroup): the block is (gds, gm, gm+gds, I) and their negatives.
+_SLOT_ROW = np.array([0, 1, 6, 4, 5, 2], dtype=np.intp)
 
 _COMPILED_TYPES = (Resistor, Capacitor, VoltageSource, CurrentSource, FET)
+
+
+def check_integrator(integrator: str) -> None:
+    """Raise :class:`~repro.circuit.netlist.CircuitError` unless
+    ``integrator`` is one of :data:`INTEGRATORS`."""
+    if integrator not in INTEGRATORS:
+        from repro.circuit.netlist import CircuitError  # netlist imports this module
+
+        raise CircuitError(f"unknown integrator {integrator!r}; use {INTEGRATORS}")
+
+
+def _pad(previous_x: np.ndarray | None) -> np.ndarray | None:
+    """``previous_x`` with the ground slot appended (None stays None)."""
+    return None if previous_x is None else np.append(previous_x, 0.0)
 
 
 class UnsupportedElement(TypeError):
@@ -99,28 +122,21 @@ def _unwrap_polarity(device) -> tuple[object, float]:
 class _FETGroup:
     """All FETs sharing one (polarity-unwrapped) device-model instance.
 
-    ``gather_*`` index the padded voltage vector (ground at index
-    ``size``); ``rows``/``cols``/``take`` address the 6-entry-per-FET
-    Jacobian stamp pattern with ground rows/columns masked out.
-
-    Groups of at most :data:`SCALAR_GROUP_MAX` FETs additionally
-    precompute plain-int indices for :meth:`stamp_points` — a
-    pure-scalar stamp through
-    :meth:`repro.devices.base.FETModel.linearize_point` that skips the
-    array dispatch entirely (array math does not amortise below ~4
-    FETs; see the ROADMAP's small-circuit trade-off note).  Devices
-    that set ``prefer_batched_points`` (scalar evaluation is a solver
-    call) keep the batched path at every group size.
+    The unit of one batched :meth:`repro.devices.base.FETModel.linearize`
+    call.  ``gather_dgs`` index the padded voltage vector (ground at the
+    trailing index ``ground``); ``scatter_idx`` lists the drains, then
+    the sources: the targets of the group's ``+I``/``-I``.
+    ``rows``/``cols`` address the 6-entry-per-FET Jacobian stamp
+    pattern, minus the entries on a ground row or column (``take``
+    lists the survivors' slot-major positions).
     """
 
     __slots__ = (
         "device", "delta_v", "count", "sign", "columns",
-        "gather_dgs", "scatter_idx", "flat",
-        "rows", "cols", "take", "_vals6", "_vals", "_scatter_vals",
-        "use_points", "point_fets",
+        "gather_dgs", "scatter_idx", "rows", "cols", "take",
     )
 
-    def __init__(self, device, delta_v: float | None, fets: list, column: dict, pad, jac_idx, size: int):
+    def __init__(self, device, delta_v: float | None, fets: list, column: dict, pad, ground: int):
         self.device = device
         self.delta_v = delta_v
         self.count = len(fets)
@@ -129,106 +145,18 @@ class _FETGroup:
         self.columns = np.array([column[id(f)] for f in fets], dtype=np.intp)
         signs = np.array([_unwrap_polarity(f.device)[1] for f in fets])
         self.sign = None if np.all(signs == 1.0) else signs
-        gather_d = np.array([pad(f.drain) for f in fets], dtype=np.intp)
-        gather_g = np.array([pad(f.gate) for f in fets], dtype=np.intp)
-        gather_s = np.array([pad(f.source) for f in fets], dtype=np.intp)
-        self.gather_dgs = np.stack((gather_d, gather_g, gather_s))
-        self.scatter_idx = np.concatenate((gather_d, gather_s))
-        jd = np.array([jac_idx(f.drain) for f in fets], dtype=np.intp)
-        jg = np.array([jac_idx(f.gate) for f in fets], dtype=np.intp)
-        js = np.array([jac_idx(f.source) for f in fets], dtype=np.intp)
-        # Entry order matches the per-call value stack in evaluate():
+        self.gather_dgs = np.array(
+            [[pad(f.drain), pad(f.gate), pad(f.source)] for f in fets], dtype=np.intp
+        ).T.copy()
+        d, g, s = self.gather_dgs
+        self.scatter_idx = np.concatenate((d, s))
+        # Stamp slots, in the order the Jacobian scatter adds them:
         # (d,d)=gds (d,g)=gm (d,s)=-(gm+gds) (s,d)=-gds (s,g)=-gm (s,s)=gm+gds
-        rows6 = np.stack((jd, jd, jd, js, js, js))
-        cols6 = np.stack((jd, jg, js, jd, jg, js))
-        valid = ((rows6 >= 0) & (cols6 >= 0)).ravel()
-        self.take = np.nonzero(valid)[0]
-        self.rows = rows6.ravel()[self.take]
-        self.cols = cols6.ravel()[self.take]
-        self.flat = self.rows * size + self.cols
-        self._vals6 = np.empty((6, self.count))
-        self._vals = np.empty(self.take.size)
-        self._scatter_vals = np.empty(2 * self.count)
-        self.use_points = self.count <= SCALAR_GROUP_MAX and not getattr(
-            device, "prefer_batched_points", False
-        )
-        if self.use_points:
-            # Per-FET scalar stamp schedule: padded terminal indices,
-            # polarity sign, and this FET's surviving Jacobian entries
-            # as (flat index, slot in the 6-value pattern) pairs.
-            flat_by_pos = dict(zip(self.take.tolist(), self.flat.tolist()))
-            self.point_fets = [
-                (
-                    int(gather_d[i]),
-                    int(gather_g[i]),
-                    int(gather_s[i]),
-                    float(signs[i]),
-                    [
-                        (flat_by_pos[slot * self.count + i], slot)
-                        for slot in range(6)
-                        if slot * self.count + i in flat_by_pos
-                    ],
-                )
-                for i in range(self.count)
-            ]
-
-    def linearize(self, xpad: np.ndarray):
-        """Batched device linearization at the padded iterate ``xpad``."""
-        v_dgs = xpad[self.gather_dgs]
-        vs = v_dgs[2]
-        vgs = v_dgs[1] - vs
-        vds = v_dgs[0] - vs
-        if self.sign is None:
-            return self.device.linearize(vgs, vds, self.delta_v)
-        current, gm, gds = self.device.linearize(
-            self.sign * vgs, self.sign * vds, self.delta_v
-        )
-        return self.sign * current, gm, gds
-
-    def stamp_points(self, xpad: np.ndarray, rpad: np.ndarray, jac_flat: np.ndarray):
-        """Scalar fast path: stamp a small group FET by FET, no arrays.
-
-        Same arithmetic as the batched path (sign-flip in, sign-flip
-        out, unsigned conductances) through the device's scalar
-        ``linearize_point``, with plain-int indexed accumulation — the
-        restoration of the seed's per-element stamp cost for small
-        circuits.
-        """
-        device = self.device
-        delta_v = self.delta_v
-        for d, g, s, sign, entries in self.point_fets:
-            vs = xpad[s]
-            vgs = xpad[g] - vs
-            vds = xpad[d] - vs
-            if sign == 1.0:
-                current, gm, gds = device.linearize_point(vgs, vds, delta_v)
-            else:
-                current, gm, gds = device.linearize_point(
-                    sign * vgs, sign * vds, delta_v
-                )
-                current = sign * current
-            rpad[d] += current
-            rpad[s] -= current
-            vals = (gds, gm, -(gm + gds), -gds, -gm, gm + gds)
-            for flat_index, slot in entries:
-                jac_flat[flat_index] += vals[slot]
-
-    def residual_values(self, current: np.ndarray) -> np.ndarray:
-        """Stack ``[+I, -I]`` matching ``scatter_idx`` (drains then sources)."""
-        vals = self._scatter_vals
-        vals[: self.count] = current
-        np.negative(current, out=vals[self.count :])
-        return vals
-
-    def jacobian_values(self, gm: np.ndarray, gds: np.ndarray) -> np.ndarray:
-        vals6 = self._vals6
-        vals6[0] = gds
-        vals6[1] = gm
-        np.add(gm, gds, out=vals6[5])
-        np.negative(vals6[5], out=vals6[2])
-        np.negative(gds, out=vals6[3])
-        np.negative(gm, out=vals6[4])
-        return np.take(vals6.ravel(), self.take, out=self._vals)
+        rows6 = np.stack((d, d, d, s, s, s)).ravel()
+        cols6 = np.stack((d, g, s, d, g, s)).ravel()
+        self.take = np.nonzero((rows6 != ground) & (cols6 != ground))[0]
+        self.rows = rows6[self.take]
+        self.cols = cols6[self.take]
 
 
 class _LinearSystem:
@@ -267,8 +195,9 @@ class _SparseSchedule:
     * The symbolic half of sparse LU — the fill-reducing COLAMD
       column ordering — is computed **once** (:attr:`n_symbolic`
       counts these); :meth:`factor` then refactorizes numerically by
-      permuting the canonical ``data`` into a pre-gathered CSC layout
-      and factoring with ``permc_spec="NATURAL"``.
+      permuting the canonical ``data`` symmetrically (rows with
+      columns) into a pre-gathered CSC layout and factoring with
+      ``permc_spec="NATURAL"``.
 
     That split is what lets the sweep engines batch sparse plans: one
     schedule serves every instance's refactorization, and a stacked
@@ -303,9 +232,6 @@ class _SparseSchedule:
         )
         self.diag_pos = self.positions(diag, diag)
         self.node_diag_pos = self.diag_pos[: plan.n_nodes]
-        self.group_pos = [
-            self.positions(g.rows, g.cols) for g in plan.fet_groups
-        ]
         self._static_pos = self.positions(plan._static_rows, plan._static_cols)
         self._static_vals = plan._static_vals
         self._cap_pos = self.positions(plan._cap_rows, plan._cap_cols)
@@ -373,24 +299,25 @@ class _SparseSchedule:
         data = np.ones(self.nnz)
         data[self.diag_pos] += float(self.size)
         lu = splu(self.matrix(data).tocsc())
-        self._perm_c = lu.perm_c.astype(np.intp)
-        # Pre-gathered CSC layout of B = A[:, perm_c]: b_gather maps
-        # canonical CSR data positions into B's CSC data order, so a
-        # refactorization is one fancy-index plus a NATURAL-order splu.
-        acsc = sparse.csr_matrix(
-            (np.arange(self.nnz, dtype=np.intp), self.indices, self.indptr),
-            shape=(self.size, self.size),
-        ).tocsc()
-        starts, ends = acsc.indptr[:-1], acsc.indptr[1:]
-        order = np.concatenate(
-            [np.arange(starts[c], ends[c]) for c in self._perm_c]
-        )
-        self._b_gather = acsc.data[order]
-        self._b_indices = acsc.indices[order]
-        lengths = (ends - starts)[self._perm_c]
+        perm = lu.perm_c.astype(np.intp)
+        self._perm_c = perm
+        # Pre-gathered CSC layout of the symmetric permutation
+        # B = A[perm][:, perm]: b_gather maps canonical CSR data
+        # positions into B's CSC data order, so a refactorization is
+        # one fancy-index plus a NATURAL-order splu.  Permuting rows
+        # with the columns keeps A's diagonal on B's diagonal, where
+        # SuperLU's threshold pivoting looks for it; a column-only
+        # permutation would hand it A[j, perm[j]] instead and let
+        # off-diagonal pivots fill the factors in.
+        inverse = np.empty_like(perm)
+        inverse[perm] = np.arange(self.size, dtype=np.intp)
+        rows = inverse[np.repeat(np.arange(self.size), np.diff(self.indptr))]
+        cols = inverse[self.indices]
+        self._b_gather = np.lexsort((rows, cols))
+        self._b_indices = rows[self._b_gather].astype(self.indices.dtype)
         self._b_indptr = np.concatenate(
-            ([0], np.cumsum(lengths))
-        ).astype(acsc.indptr.dtype)
+            ([0], np.cumsum(np.bincount(cols, minlength=self.size)))
+        ).astype(self.indptr.dtype)
         self.n_symbolic += 1
 
     def factor(self, data: np.ndarray):
@@ -410,13 +337,15 @@ class _SparseSchedule:
             shape=(self.size, self.size),
         )
         try:
-            lu = splu(permuted, permc_spec="NATURAL")
+            lu = splu(
+                permuted, permc_spec="NATURAL", diag_pivot_thresh=PIVOT_THRESHOLD
+            )
         except RuntimeError:
             return None
         perm_c = self._perm_c
 
         def solve(rhs: np.ndarray) -> np.ndarray:
-            y = lu.solve(rhs)
+            y = lu.solve(rhs[perm_c])
             x = np.empty_like(y)
             x[perm_c] = y
             return x
@@ -524,45 +453,76 @@ class StampPlan:
         self._cap_sign = np.array(cap_sign, dtype=float)
         self._cap_which = np.array(cap_which, dtype=np.intp)
 
-        self.vsources = vsources
-        self.vsrc_branch = np.array(
-            [el.branch_index for el in vsources], dtype=np.intp
-        )
-        self.isources = isources
-        self.isrc_p = np.array([pad(el.p) for el in isources], dtype=np.intp)
-        self.isrc_n = np.array([pad(el.n) for el in isources], dtype=np.intp)
-
-        self.capacitors = capacitors
         self.cap_names = [el.name for el in capacitors]
         self.cap_p = np.array([pad(el.p) for el in capacitors], dtype=np.intp)
         self.cap_n = np.array([pad(el.n) for el in capacitors], dtype=np.intp)
         self.cap_c = np.array([el.capacitance_f for el in capacitors], dtype=float)
-        self.cap_scatter = np.concatenate((self.cap_p, self.cap_n))
-        self._cap_vals = np.empty(2 * len(capacitors))
 
         self.fet_groups = [
-            _FETGroup(fet_devices[key], key[1], fets, fet_column, pad, jac_idx, size)
+            _FETGroup(fet_devices[key], key[1], fets, fet_column, pad, size)
             for key, fets in fet_bins.items()
         ]
         # Linear-only circuits have a bias-independent Jacobian: the
         # Newton solver then routes steps through linear_step()'s cached
         # factorization instead of refactorizing every iteration.
         self.linear_only = not self.fet_groups
-
-        # -- per-call buffers ---------------------------------------------------
-        self._xpad = np.zeros(size + 1)
-        self._prevpad = np.zeros(size + 1)
         self._lin_cache: dict[object, _LinearSystem] = {}
         self._cap_stamp: np.ndarray | None = None
 
         # Shared canonical pattern + one-time symbolic ordering for
         # every sparse Jacobian this plan (or a sweep over it) builds.
         self.sparse_schedule = _SparseSchedule(self) if self.use_sparse else None
-        # evaluate_stack's per-group Jacobian scatter targets: dense flat
-        # (row*size + col) offsets, or canonical sparse ``data`` positions.
-        self._group_scatter = (
-            self.sparse_schedule.group_pos if self.use_sparse
-            else [group.flat for group in self.fet_groups]
+
+        # -- evaluate_stack's value buffer and its two scatters --------------
+        # A call writes every scattered value into one (m, width) buffer:
+        # the source levels (-level on each voltage-source branch, +I/-I
+        # at each current source's ends), the companion history
+        # (+rhs/-rhs, transient contexts only) and an (8, n_fets) FET block
+        # of (gds, gm, gm+gds, I) and their negatives, one column per FET,
+        # groups in order.  The residual then takes one np.add.at, and the
+        # Jacobian one, through buffer columns and targets compiled here;
+        # residual entries that land on ground are dropped.  Both keep the
+        # order of one scatter per term, group by group, so every sum runs
+        # in the order it always has.
+        n_v, n_i, n_c = len(vsources), len(isources), len(capacitors)
+        self._source_order = vsources + isources + isources
+        self._source_sign = np.repeat([-1.0, 1.0, -1.0], [n_v, n_i, n_i])
+        groups = self.fet_groups
+        offsets = np.cumsum([0] + [group.count for group in groups])
+        n_fets = self._n_fets = int(offsets[-1])
+        self._group_slices = [slice(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
+        block = self._fet_block = n_v + 2 * n_i + 2 * n_c
+        self._width = block + 8 * n_fets
+
+        # Residual scatter: buffer column and padded target of each term.
+        cols = np.concatenate([np.arange(block)] + [
+            block + lo + np.arange(group.count) + np.array([[3 * n_fets], [7 * n_fets]])
+            for group, lo in zip(groups, offsets)
+        ], axis=None)
+        targets = np.concatenate([
+            np.array([el.branch_index for el in vsources], dtype=np.intp),
+            np.array([pad(el.p) for el in isources], dtype=np.intp),
+            np.array([pad(el.n) for el in isources], dtype=np.intp),
+            self.cap_p, self.cap_n, *(group.scatter_idx for group in groups),
+        ])
+        history = (cols >= n_v + 2 * n_i) & (cols < block)
+        live = targets != size
+        # Indexed by "has a companion history": DC, then transient.
+        self._res_scatter = [(cols[keep], targets[keep]) for keep in (live & ~history, live)]
+        if self.linear_only:
+            return
+        # Stamp slot k of FET i of a group at FET offset lo reads buffer
+        # column block + _SLOT_ROW[k] * n_fets + lo + i.
+        self._jac_take = np.concatenate([
+            block + _SLOT_ROW[group.take // group.count] * n_fets + lo
+            + group.take % group.count
+            for group, lo in zip(groups, offsets)
+        ])
+        rows = np.concatenate([group.rows for group in groups])
+        cols = np.concatenate([group.cols for group in groups])
+        self._jac_index = (
+            self.sparse_schedule.positions(rows, cols) if self.use_sparse
+            else rows * size + cols
         )
 
     def capacitance_stamp(self) -> np.ndarray:
@@ -593,11 +553,7 @@ class StampPlan:
 
     # -- linear subsystem cache ---------------------------------------------------
     def _linear_system(self, dt_s: float | None, integrator: str) -> _LinearSystem:
-        if dt_s is None:
-            key: object = None
-        else:
-            method = "backward-euler" if integrator == "backward-euler" else "trapezoidal"
-            key = (float(dt_s), method)
+        key = None if dt_s is None else (float(dt_s), integrator)
         cached = self._lin_cache.get(key)
         if cached is not None:
             return cached
@@ -606,6 +562,7 @@ class StampPlan:
             cap_geq = np.zeros(0)
             rows, cols, vals = self._static_rows, self._static_cols, self._static_vals
         else:
+            check_integrator(integrator)
             if integrator == "backward-euler":
                 cap_geq = self.cap_c / dt_s
             else:
@@ -673,74 +630,26 @@ class StampPlan:
         gmin: float = 0.0,
         gmin_ref: np.ndarray | None = None,
     ):
-        """Residual F(x) and Jacobian dF/dx via the compiled plan.
+        """Residual F(x) and Jacobian dF/dx at one iterate.
 
-        Returns a fresh residual and a fresh Jacobian: a dense array, or
-        a ``scipy.sparse`` CSR matrix on the canonical pattern in sparse
-        mode.  ``history`` holds the trapezoidal companion currents in
-        ``cap_names`` order (zero when None).  ``gmin`` adds a shunt
-        conductance from every node to ground; with ``gmin_ref`` the
-        shunt anchors at that reference vector instead — the
-        pseudo-transient continuation stamp ``gmin * (x - gmin_ref)``
-        (the Jacobian term is identical).
+        A one-row :meth:`evaluate_stack`.  Returns a fresh residual and
+        a fresh Jacobian: a dense array, or a ``scipy.sparse`` CSR
+        matrix on the canonical pattern in sparse mode.  ``history``
+        holds the trapezoidal companion currents in ``cap_names`` order
+        (zero when None); without ``previous_x`` the companion model
+        anchors at ``x``.  ``gmin`` adds a shunt conductance from every
+        node to ground; with ``gmin_ref`` the shunt anchors at that
+        reference vector instead — the pseudo-transient continuation
+        stamp ``gmin * (x - gmin_ref)`` (the Jacobian term is
+        identical).
         """
-        size = self.size
-        xpad = self._xpad
-        xpad[:size] = x
-        linear = self._linear_system(dt_s, integrator)
-
-        rpad = np.zeros(size + 1)
-        residual = rpad[:size]
-        residual += linear.matrix @ x
-
-        if self.vsrc_branch.size:
-            levels = np.array([el.level(time_s) for el in self.vsources])
-            residual[self.vsrc_branch] -= source_scale * levels
-        if self.isrc_p.size:
-            currents = source_scale * np.array(
-                [el.level(time_s) for el in self.isources]
-            )
-            np.add.at(rpad, self.isrc_p, currents)
-            np.add.at(rpad, self.isrc_n, -currents)
-
-        if dt_s is not None and self.cap_c.size:
-            prevpad = self._prevpad
-            prevpad[:size] = x if previous_x is None else previous_x
-            rhs = self.cap_history_rhs(prevpad, linear.cap_geq, integrator, history)
-            cap_vals = self._cap_vals
-            cap_vals[: rhs.size] = rhs
-            np.negative(rhs, out=cap_vals[rhs.size :])
-            np.add.at(rpad, self.cap_scatter, cap_vals)
-
+        residual, jacobian = self.evaluate_stack(
+            np.asarray(x, dtype=float)[None], time_s, dt_s, integrator,
+            _pad(previous_x), history, source_scale, gmin, gmin_ref,
+        )
         if self.use_sparse:
-            schedule = self.sparse_schedule
-            data = schedule.linear_data(linear).copy()
-            for group, pos in zip(self.fet_groups, schedule.group_pos):
-                current, gm, gds = group.linearize(xpad)
-                np.add.at(rpad, group.scatter_idx, group.residual_values(current))
-                np.add.at(data, pos, group.jacobian_values(gm, gds))
-            if gmin > 0.0:
-                data[schedule.node_diag_pos] += gmin
-            jacobian = schedule.matrix(data)
-        else:
-            jacobian = linear.matrix.copy()
-            jac_flat = jacobian.reshape(-1)
-            for group in self.fet_groups:
-                if group.use_points:
-                    group.stamp_points(xpad, rpad, jac_flat)
-                    continue
-                current, gm, gds = group.linearize(xpad)
-                np.add.at(rpad, group.scatter_idx, group.residual_values(current))
-                np.add.at(jac_flat, group.flat, group.jacobian_values(gm, gds))
-            if gmin > 0.0:
-                diag = np.einsum("ii->i", jacobian)
-                diag[: self.n_nodes] += gmin
-
-        if gmin > 0.0:
-            residual[: self.n_nodes] += gmin * x[: self.n_nodes]
-            if gmin_ref is not None:
-                residual[: self.n_nodes] -= gmin * gmin_ref[: self.n_nodes]
-        return residual, jacobian
+            return residual[0], self.sparse_schedule.matrix(jacobian[0])
+        return residual[0], jacobian[0]
 
     def evaluate_many(
         self,
@@ -757,19 +666,23 @@ class StampPlan:
         """Residuals and Jacobians at a stack of iterates sharing one
         :meth:`evaluate` context (same keywords).
 
-        The line-search entry of :func:`repro.circuit.solver.newton_solve`:
-        a damping ladder of trial points costs one ``linearize`` per FET
-        group instead of one per trial.  An adapter over
-        :meth:`evaluate_stack`.
+        The evaluation of :func:`repro.circuit.solver.newton_solve`: its
+        iterates and the damping ladder of a rejected step, one device
+        ``linearize`` per FET group however many trial points.  Row
+        ``i`` is bitwise :meth:`evaluate` at ``x_stack[i]``; Jacobians
+        come as :meth:`evaluate_stack` returns them.
         """
-        prevpad = None
-        if previous_x is not None:
-            prevpad = np.zeros(self.size + 1)
-            prevpad[: self.size] = previous_x
         return self.evaluate_stack(
             np.asarray(x_stack, dtype=float), time_s, dt_s, integrator,
-            prevpad, history, source_scale, gmin, gmin_ref,
+            _pad(previous_x), history, source_scale, gmin, gmin_ref,
         )
+
+    @staticmethod
+    def _rows(index: np.ndarray, m: int, stride: int) -> np.ndarray:
+        """``index`` repeated for ``m`` flattened rows of length ``stride``."""
+        if m == 1:
+            return index
+        return (np.arange(0, m * stride, stride)[:, None] + index).reshape(-1)
 
     def evaluate_stack(
         self,
@@ -787,63 +700,40 @@ class StampPlan:
     ):
         """Residuals ``(m, size)`` and Jacobians at a stack of ``m`` iterates.
 
-        The one stacked evaluation kernel.  Jacobians are fresh dense
-        ``(m, size, size)`` arrays, or ``(m, nnz)`` canonical CSR
-        ``data`` stacks for sparse plans.  ``prevpad`` (padded previous
+        The one evaluation kernel.  Jacobians are fresh dense ``(m,
+        size, size)`` arrays, or ``(m, nnz)`` canonical CSR ``data``
+        stacks for sparse plans.  ``prevpad`` (padded previous
         solution) and ``history`` (trapezoidal companion currents) are
         shared or per row; ``prevpad=None`` anchors the companion model
-        at each iterate, as :meth:`evaluate` does.  The optional ``(m,
-        n_fets)`` variation arrays, in the circuit's FET order, make
-        each FET carry ``scale * I(vgs - shift, vds)``.
+        at each iterate.  The optional ``(m, n_fets)`` variation
+        arrays, in the circuit's FET order, make each FET carry ``scale
+        * I(vgs - shift, vds)``.
 
         Rows never mix: the linear residual is a batched gemv (CSR
-        column-wise matvecs for sparse plans), not one gemm, so each
-        row equals :meth:`evaluate`'s ``matrix @ x`` bitwise — the root
-        of the sweep engines' chunking/order/pool invariance.
+        column-wise matvecs for sparse plans), not one gemm, and every
+        other term is elementwise or a scatter within the row, so a
+        row's bits do not depend on ``m`` — the root of the sweep
+        engines' chunking/order/pool invariance.
         """
         m = x.shape[0]
         size = self.size
-        row_pad = np.arange(m, dtype=np.intp)[:, None] * (size + 1)
         linear = self._linear_system(dt_s, integrator)
 
         xpad = np.zeros((m, size + 1))
         xpad[:, :size] = x
-        rpad = np.zeros((m, size + 1))
         if self.use_sparse:
             # CSR times a column stack: scipy's matvecs kernel runs the
             # scalar matvec per column.
-            rpad[:, :size] = (linear.matrix @ x.T).T
+            residual = np.ascontiguousarray((linear.matrix @ x.T).T)
             base = self.sparse_schedule.linear_data(linear)
         else:
-            rpad[:, :size] = np.matmul(linear.matrix, x[..., None])[..., 0]
+            residual = np.matmul(linear.matrix, x[..., None])[..., 0]
             base = linear.matrix
         jac = np.empty((m,) + base.shape)
         jac[:] = base
-        row_jac = np.arange(m, dtype=np.intp)[:, None] * base.size
-        rflat = rpad.reshape(-1)
-        jflat = jac.reshape(-1)
 
-        if self.vsrc_branch.size:
-            levels = np.array([el.level(time_s) for el in self.vsources])
-            rpad[:, self.vsrc_branch] -= source_scale * levels
-        if self.isrc_p.size:
-            currents = source_scale * np.array(
-                [el.level(time_s) for el in self.isources]
-            )
-            # ufunc.at does not broadcast shared values against a stack of
-            # per-row indices (it reads out of bounds); broadcast explicitly.
-            shared = np.broadcast_to(currents, (m, currents.size))
-            np.add.at(rflat, row_pad + self.isrc_p, shared)
-            np.add.at(rflat, row_pad + self.isrc_n, -shared)
-        if dt_s is not None and self.cap_c.size:
-            rhs = self.cap_history_rhs(
-                xpad if prevpad is None else prevpad, linear.cap_geq, integrator, history
-            )
-            cap_vals = np.concatenate((rhs, -rhs), axis=-1)
-            cap_vals = np.broadcast_to(cap_vals, (m, cap_vals.shape[-1]))
-            np.add.at(rflat, row_pad + self.cap_scatter, cap_vals)
-
-        for group, scatter in zip(self.fet_groups, self._group_scatter):
+        linearized = []
+        for group in self.fet_groups:
             v = xpad[:, group.gather_dgs]  # (m, 3, count)
             vgs = v[:, 1] - v[:, 2]
             vds = v[:, 0] - v[:, 2]
@@ -860,15 +750,44 @@ class StampPlan:
                 current = current * scale
                 gm = gm * scale
                 gds = gds * scale
-            rvals = np.concatenate((current, -current), axis=1)  # (m, 2*count)
-            np.add.at(rflat, row_pad + group.scatter_idx, rvals)
-            vals6 = np.stack(
-                (gds, gm, -(gm + gds), -gds, -gm, gm + gds), axis=1
-            )  # (m, 6, count), entry order matching group.take
-            entries = vals6.reshape(m, 6 * group.count)[:, group.take]
-            np.add.at(jflat, row_jac + scatter, entries)
+            linearized.append((gds, gm, current))
 
-        residual = rpad[:, :size]
+        # Allocated after the device calls, so it never adds to their
+        # peak memory.
+        values = np.empty((m, self._width))
+        n_src = self._source_sign.size
+        if n_src:
+            levels = np.array([el.level(time_s) for el in self._source_order])
+            np.multiply(levels, source_scale * self._source_sign, out=values[:, :n_src])
+        companion = dt_s is not None and self.cap_c.size > 0
+        if companion:
+            rhs = self.cap_history_rhs(
+                xpad if prevpad is None else prevpad, linear.cap_geq, integrator, history
+            )
+            n_caps = self.cap_c.size
+            values[:, n_src : n_src + n_caps] = rhs
+            np.negative(rhs, out=values[:, n_src + n_caps : self._fet_block])
+        if linearized:
+            block = values[:, self._fet_block :].reshape(m, 8, self._n_fets)
+            for fets, (gds, gm, current) in zip(self._group_slices, linearized):
+                block[:, 0, fets] = gds
+                block[:, 1, fets] = gm
+                block[:, 3, fets] = current
+            del linearized
+            np.add(block[:, 1], block[:, 0], out=block[:, 2])
+            np.negative(block[:, :4], out=block[:, 4:])
+            np.add.at(
+                jac.reshape(-1), self._rows(self._jac_index, m, base.size),
+                np.take(values, self._jac_take, axis=1).reshape(-1),
+            )
+
+        cols, targets = self._res_scatter[companion]
+        if targets.size:
+            np.add.at(
+                residual.reshape(-1), self._rows(targets, m, size),
+                np.take(values, cols, axis=1).reshape(-1),
+            )
+
         if gmin > 0.0:
             n_nodes = self.n_nodes
             residual[:, :n_nodes] += gmin * x[:, :n_nodes]
@@ -931,9 +850,7 @@ class StampPlan:
         Batchable: ``prevpad`` is a padded previous-solution stack of
         shape ``(..., size + 1)`` (ground in the trailing slot) and
         ``history`` — the trapezoidal companion currents, ignored under
-        backward Euler — broadcasts as ``(..., n_caps)``.  The scalar
-        :meth:`evaluate` path and the stacked kernel share this
-        arithmetic, so their residuals agree bitwise.
+        backward Euler — broadcasts as ``(..., n_caps)``.
         """
         v_prev = prevpad[..., self.cap_p] - prevpad[..., self.cap_n]
         rhs = -cap_geq * v_prev

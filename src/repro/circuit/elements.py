@@ -9,7 +9,7 @@ linearise through
 central differences by default, analytic for spline surrogates) — the
 scalar twin of the batched ``linearize`` the compiled stamp plan of
 :mod:`repro.circuit.assembly` calls, so this reference path and the
-compiled path share their arithmetic.
+compiled path agree to rounding.
 """
 
 from __future__ import annotations

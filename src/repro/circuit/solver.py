@@ -11,13 +11,14 @@ at the main exit, on step stall and at iteration exhaustion, so
 
 Two adapters feed it:
 
-* :func:`newton_solve` — the scalar solve, a batch of one.  Single
-  rows evaluate through :meth:`~repro.circuit.assembly.StampPlan.evaluate`;
-  the damping ladder of a rejected full step goes through
-  :meth:`~repro.circuit.assembly.StampPlan.evaluate_many` in batches of
-  ``_TRIAL_BATCH`` trials (one device ``linearize`` per batch instead of
-  one per trial).  Linear-only circuits reuse the plan's cached LU of
-  the constant matrix (:meth:`~repro.circuit.assembly.StampPlan.linear_step`).
+* :func:`newton_solve` — the scalar solve, a batch of one.  Every
+  evaluation, the single iterate and the damping ladder of a rejected
+  full step alike, goes through
+  :meth:`~repro.circuit.assembly.StampPlan.evaluate_many`; the ladder
+  runs in batches of ``_TRIAL_BATCH`` trials (one device ``linearize``
+  per batch instead of one per trial).  Linear-only circuits reuse the
+  plan's cached LU of the constant matrix
+  (:meth:`~repro.circuit.assembly.StampPlan.linear_step`).
 * ``_BatchedNewtonEngine._newton_batch`` in :mod:`repro.circuit.sweep`
   — the Monte Carlo engines' solve over perturbed instances.
 
@@ -195,10 +196,7 @@ def newton_solve(
     kwargs = dict(eval_kwargs, source_scale=source_scale, gmin=gmin)
 
     def evaluate(x_rows, rows):
-        if x_rows.shape[0] > 1:
-            return plan.evaluate_many(x_rows, **kwargs)
-        residual, jacobian = plan.evaluate(x_rows[0], **kwargs)
-        return residual[None], (jacobian.data if plan.use_sparse else jacobian)[None]
+        return plan.evaluate_many(x_rows, **kwargs)
 
     def linear_solve(jacobians, rhs):
         # Linear-only circuits reuse the plan's cached LU of the

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.circuit.assembly import check_integrator
 from repro.circuit.continuation import ConvergenceError, solve_dc_robust
 from repro.circuit.elements import VoltageSource
 from repro.circuit.netlist import Circuit, CircuitError, MNASystem
@@ -42,7 +43,6 @@ __all__ = [
     "validate_grid",
 ]
 
-_INTEGRATORS = ("trapezoidal", "backward-euler")
 # How far t_stop / dt may sit from a whole step count (relative).
 _GRID_RTOL = 1e-9
 
@@ -81,8 +81,7 @@ def validate_grid(t_stop_s: float, dt_s: float, integrator: str) -> int:
         raise CircuitError("t_stop and dt must be positive")
     if dt_s > t_stop_s:
         raise CircuitError(f"dt {dt_s} exceeds t_stop {t_stop_s}")
-    if integrator not in _INTEGRATORS:
-        raise CircuitError(f"unknown integrator {integrator!r}; use {_INTEGRATORS}")
+    check_integrator(integrator)
     ratio = t_stop_s / dt_s
     n_steps = int(round(ratio))
     if abs(ratio - n_steps) > _GRID_RTOL * ratio:

@@ -17,10 +17,14 @@ helpers and the surrogate compiler all program against:
 
 ``linearize`` is the small-signal API the compiled MNA stamp plan calls
 once per device-model instance per Newton iteration, with all of that
-model's FET bias points batched into one array call;
-``linearize_point`` is its scalar fast path for single-device groups.
-The default derivatives are central differences with a model-owned step
-(``fd_delta_v``); models with analytic small-signal behaviour — notably
+model's FET bias points batched into one array call, whatever the
+group's size.  ``linearize_point`` is the same arithmetic on one bias
+point, built from scalar ``current`` calls; it serves the
+element-walking oracle
+:meth:`repro.circuit.netlist.MNASystem.evaluate_dense` and
+:func:`repro.analysis.rf.small_signal`.  The default derivatives are
+central differences with a model-owned step (``fd_delta_v``); models
+with analytic small-signal behaviour — notably
 :class:`repro.devices.surrogate.SurrogateFET` — override both
 ``linearize`` entry points and never see a finite-difference step.
 
@@ -112,12 +116,6 @@ class FETModel(abc.ABC):
 
     #: Default finite-difference step of the fallback linearization.
     fd_delta_v: float = DEFAULT_FD_STEP
-
-    #: True for models whose scalar ``current`` is itself an iterative
-    #: solve (physical top-of-barrier / root-finding devices): the
-    #: compiled stamp plan then keeps the batched ``linearize`` path
-    #: even for small FET groups instead of the scalar point stamp.
-    prefer_batched_points: bool = False
 
     #: Elementwise currents on the vds >= 0 quadrant, or None to fall
     #: back to a scalar loop.  Subclasses override with a method.
@@ -211,14 +209,15 @@ class FETModel(abc.ABC):
         return probes[0], gm, gds
 
     def linearize_point(self, vgs: float, vds: float, delta_v: float | None = None):
-        """Scalar linearization fast path: floats in, floats out.
+        """Scalar linearization: floats in, floats out.
 
         Same arithmetic as :meth:`linearize` restricted to one bias
         point, but built from plain scalar ``current`` calls — no array
-        dispatch.  The compiled stamp plan routes single-device FET
-        groups (and the reference element walker routes every FET)
-        through here; analytic models override it alongside
-        ``linearize``.
+        dispatch.  Its callers are the element-walking oracle
+        :meth:`repro.circuit.netlist.MNASystem.evaluate_dense` and the
+        RF figures of merit (:func:`repro.analysis.rf.small_signal`);
+        the compiled stamp plan always calls :meth:`linearize`.
+        Analytic models override it alongside ``linearize``.
         """
         delta_v = self.fd_delta_v if delta_v is None else delta_v
         current = self.current(vgs, vds)
@@ -257,10 +256,6 @@ class PType(FETModel):
     @property
     def polarity(self) -> str:
         return "p"
-
-    @property
-    def prefer_batched_points(self) -> bool:
-        return self.nfet.prefer_batched_points
 
     def operating_box(self) -> OperatingBox:
         return self.nfet.operating_box()

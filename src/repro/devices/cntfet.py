@@ -54,10 +54,6 @@ class CNTFET(FETModel):
         Number of conduction subbands retained.
     """
 
-    # Every evaluation is a barrier solve, as costly for one point as for
-    # a small slab: keep small FET groups on the batched linearize path.
-    prefer_batched_points = True
-
     def __init__(
         self,
         chirality: Chirality,

@@ -38,10 +38,6 @@ class SeriesResistanceFET(FETModel):
     subthreshold region where Newton overshoots).
     """
 
-    # Every evaluation is a bracketed root find with one batched inner
-    # call per step: keep small FET groups on the batched linearize path.
-    prefer_batched_points = True
-
     def __init__(self, inner: FETModel, r_source_ohm: float, r_drain_ohm: float):
         if r_source_ohm < 0.0 or r_drain_ohm < 0.0:
             raise ValueError("contact resistances must be >= 0")

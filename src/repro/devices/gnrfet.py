@@ -34,10 +34,6 @@ class GNRFET(FETModel):
     emulated by passing a shorter ``mfp_override_nm``).
     """
 
-    # Every evaluation is a barrier solve, as costly for one point as for
-    # a small slab: keep small FET groups on the batched linearize path.
-    prefer_batched_points = True
-
     def __init__(
         self,
         ribbon: ArmchairGNR,

@@ -50,10 +50,6 @@ class SchottkyBarrierCNTFET(FETModel):
         barriers are transparent, e00 ~ 50-100 meV.
     """
 
-    # Scalar evaluation runs the intrinsic barrier solve plus a
-    # Landauer integral: keep small FET groups on the batched path.
-    prefer_batched_points = True
-
     def __init__(
         self,
         intrinsic: CNTFET,

@@ -61,9 +61,8 @@ def mixed_chain(n_stages=5):
 def single_fet():
     """One FET + one p-mirror FET, each alone in its device group.
 
-    Exercises the compiled plan's scalar fast path (``count == 1``
-    groups stamp through ``linearize_point`` with plain-int indices)
-    against the element-walking reference.
+    Two one-FET groups: the kernel's group-by-group layout at its
+    smallest, against the element-walking reference.
     """
     c = Circuit("single-fet")
     c.add_voltage_source("VD", "d", "0", DC(0.8))
@@ -311,14 +310,36 @@ def test_stack_entry_points_agree_bitwise(n_stages, context):
 
 
 def test_evaluate_many_rows_match_scalar_with_source_scale_and_gmin_ref():
-    plan = complementary_chain(5).build_system()._plan
-    rng = np.random.default_rng(11)
-    xs = rng.normal(scale=0.5, size=(4, plan.size))
-    kwargs = dict(
-        source_scale=0.7, gmin=1e-6, gmin_ref=rng.normal(scale=0.5, size=plan.size)
-    )
-    residuals, jacobians = plan.evaluate_many(xs, **kwargs)
-    for i in range(xs.shape[0]):
-        res, jac = plan.evaluate(xs[i], **kwargs)
-        np.testing.assert_allclose(residuals[i], res, atol=ATOL, rtol=0.0)
-        np.testing.assert_allclose(jacobians[i], jac, atol=ATOL, rtol=0.0)
+    """Row i of a multi-row ``evaluate_many`` is ``evaluate(x_i)``, bitwise.
+
+    Over dense and sparse plans, one-FET groups (``single_fet``),
+    current sources (``rc_ladder``, the complementary chain), and both
+    integrators with a per-row companion history.
+    """
+    circuits = dict(CIRCUITS, complementary_chain=lambda: complementary_chain(5))
+    for name, build in circuits.items():
+        plan = build().build_system()._plan
+        rng = np.random.default_rng(11)
+        xs = rng.normal(scale=0.5, size=(4, plan.size))
+        histories = rng.normal(scale=1e-7, size=(4, len(plan.cap_names)))
+        contexts = [
+            (dict(
+                source_scale=0.7, gmin=1e-6, gmin_ref=rng.normal(scale=0.5, size=plan.size)
+            ), None),
+        ] + [
+            (dict(
+                time_s=1e-10, dt_s=1e-12, integrator=integrator,
+                previous_x=rng.normal(scale=0.5, size=plan.size),
+            ), histories)
+            for integrator in ("trapezoidal", "backward-euler")
+        ]
+        for kwargs, history in contexts:
+            residuals, jacobians = plan.evaluate_many(xs, history=history, **kwargs)
+            for i in range(xs.shape[0]):
+                res, jac = plan.evaluate(
+                    xs[i], history=None if history is None else history[i], **kwargs
+                )
+                assert np.array_equal(residuals[i], res), (name, kwargs)
+                assert np.array_equal(
+                    jacobians[i], jac.data if plan.use_sparse else jac
+                ), (name, kwargs)

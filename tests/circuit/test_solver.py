@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.circuit.netlist import Circuit
+from repro.circuit.netlist import Circuit, CircuitError
 from repro.circuit.solver import newton_solve, solve_dc
 from repro.circuit.waveforms import DC
 from repro.devices.base import PType
@@ -69,6 +69,21 @@ class TestNewton:
         x_half, ok = newton_solve(system, np.zeros(system.size), source_scale=0.5)
         assert ok
         assert system.voltage_of(x_half, "a") == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("fets", [False, True], ids=["linear", "inverter"])
+    def test_misspelt_integrator_is_rejected(self, fets):
+        # A misspelt name must raise, not fall back to the trapezoidal rule.
+        c = inverter_circuit(0.3) if fets else Circuit()
+        if not fets:
+            c.add_voltage_source("V1", "a", "0", DC(1.0))
+            c.add_resistor("R1", "a", "out", 1e3)
+        c.add_capacitor("CL", "out", "0", 1e-14)
+        system = c.build_system()
+        x0 = np.zeros(system.size)
+        with pytest.raises(CircuitError, match="backward_euler.*backward-euler"):
+            newton_solve(
+                system, x0, dt_s=1e-12, integrator="backward_euler", history=np.zeros(1)
+            )
 
 
 class TestBatchedLineSearch:
